@@ -298,6 +298,9 @@ def _effective_config(args) -> dict:
         else:
             cfg["seed"] = 0
     cfg["seed"] = int(cfg["seed"])
+    for key, flag in (("remove_count", "--remove-count"), ("modes", "--modes")):
+        if int(cfg[key]) < 1:
+            raise ValueError(f"{flag} must be at least 1, got {cfg[key]!r}")
     return cfg
 
 
@@ -368,7 +371,15 @@ def _parse_q_grid(text) -> np.ndarray:
         lo, hi, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ValueError(f"--q-grid must be 'min:max:step', got {text!r}") from None
-    n = int(round((hi - lo) / step))
+    if not (np.isfinite([lo, hi, step]).all() and step > 0 and hi > lo):
+        raise ValueError(f"--q-grid needs finite min < max and a step > 0, got {text!r}")
+    span = (hi - lo) / step
+    n = round(span)
+    if abs(span - n) > 1e-9 * span:
+        raise ValueError(
+            f"--q-grid step {step!r} does not divide max - min = {hi - lo!r} "
+            f"into whole steps, got {text!r}"
+        )
     q = lo + step * np.arange(n + 1)
     q[np.abs(q) < 1e-12] = 0.0
     return q

@@ -231,6 +231,15 @@ def fluctuation(variances, q: float) -> float:
     The generalized mean {(1/2M) sum [F^2]^(q/2)}^(1/q); at q = 0 the
     logarithmic-mean limit exp{(1/4M) sum ln F^2} is used.
     """
+    return float(_fluctuations(variances, [q])[0])
+
+
+def _fluctuations(variances, q_grid) -> np.ndarray:
+    """F_q of one scale's segment variances for every q of the grid.
+
+    The variances are checked once for the whole grid; each q then uses the
+    same scalar generalized mean as fluctuation().
+    """
     v = np.asarray(variances, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("variances must be a non-empty 1-D array")
@@ -238,14 +247,19 @@ def fluctuation(variances, q: float) -> float:
         raise ValueError("variances must be non-negative")
     if not (v > 0).any():
         raise ValueError("all segment variances are zero")
-    if q <= 0 and (v == 0).any():
+    q_grid = [float(q) for q in q_grid]
+    if min(q_grid) <= 0 and (v == 0).any():
         raise ValueError(
             "zero segment variance makes the q <= 0 moment diverge; "
             "raise the minimum scale so every segment has signal"
         )
-    if q == 0:
-        return float(np.exp(0.5 * np.mean(np.log(v))))
-    return float(np.mean(v ** (q / 2.0)) ** (1.0 / q))
+    out = np.empty(len(q_grid))
+    for i, q in enumerate(q_grid):
+        if q == 0:
+            out[i] = np.exp(0.5 * np.mean(np.log(v)))
+        else:
+            out[i] = np.mean(v ** (q / 2.0)) ** (1.0 / q)
+    return out
 
 
 def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
@@ -257,9 +271,7 @@ def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
     y = profile(x)
     values = np.empty((cfg.q_grid.size, scales.size))
     for j, n in enumerate(scales):
-        v = segment_variances(y, int(n), cfg.detrend_order)
-        for i, q in enumerate(cfg.q_grid):
-            values[i, j] = fluctuation(v, float(q))
+        values[:, j] = _fluctuations(segment_variances(y, int(n), cfg.detrend_order), cfg.q_grid)
     return FluctuationSurface(q_grid=cfg.q_grid.copy(), scales=scales.copy(), values=values)
 
 

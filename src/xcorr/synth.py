@@ -128,6 +128,13 @@ def generate(m: MarketModel) -> ReturnPanel:
     Common factors use dedicated streams; each asset's idiosyncratic noise and
     volatility innovations come from a stream keyed by (seed, asset index), so
     the panel is reproducible regardless of generation order.
+
+    The log-volatility recursion v_k(j) = a*v_k(j-1) + s*eta_k(j), with
+    stationary start v_k(0) = eta_k(0)*s/sqrt(1-a^2), is stepped over time once
+    for all assets on a time-major (T, N) buffer.  Each element goes through
+    the same IEEE operations as the per-asset definition (only the operands of
+    commutative multiplies and adds swap), so every row is bit-identical to
+    running the recursion asset by asset.
     """
     t = m.t_length
     market = _stream(m.seed, _FACTOR_STREAM_BASE).standard_normal(t)
@@ -138,21 +145,29 @@ def generate(m: MarketModel) -> ReturnPanel:
     sector_idx, sector_beta = _sector_assignment(m)
 
     rows = np.empty((m.n_assets, t))
+    # Time-major log-volatility buffer: column k holds asset k's innovations.
+    v = None if m.vol_clustering is None else np.empty((t, m.n_assets))
     for k in range(m.n_assets):
         rng = _stream(m.seed, k)
         eps = rng.standard_normal(t)
         g = m.market_loading * market + m.idiosyncratic_sigma * eps
         if sector_idx[k] >= 0:
             g = g + sector_beta[k] * sectors[sector_idx[k]]
-        if m.vol_clustering is not None:
-            a, s = m.vol_clustering
-            eta = rng.standard_normal(t)
-            v = np.empty(t)
-            v[0] = eta[0] * (s / math.sqrt(1.0 - a * a) if a > 0 else s)
-            for j in range(1, t):
-                v[j] = a * v[j - 1] + s * eta[j]
-            g = g * np.exp(v)
         rows[k] = g
+        if v is not None:
+            v[:, k] = rng.standard_normal(t)
+
+    if v is not None:
+        a, s = m.vol_clustering
+        v[0] *= s / math.sqrt(1.0 - a * a) if a > 0 else s
+        v[1:] *= s
+        for j in range(1, t):
+            v[j] += a * v[j - 1]
+        np.exp(v, out=v)
+        # In place, so rows stays C-ordered: standardize sums each row in
+        # memory order, and an F-ordered product would change the last bits.
+        rows *= v.T
+        del v
 
     if m.intraday_profile is not None:
         reps = -(-t // m.bars_per_day)

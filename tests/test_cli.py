@@ -254,6 +254,14 @@ class TestMainRemove:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["from_original"] is True
 
+    def test_zero_remove_count_is_an_error(self, panel_file, tmp_path, capsys):
+        rc = main(["remove", "--input", panel_file, "--remove-count", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--remove-count" in err["error"]
+
 
 class TestMainSurrogate:
     def test_rotate_free_artifacts(self, panel_file, tmp_path):
@@ -331,6 +339,23 @@ class TestMainMfdfa:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "5" in _stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("grid", ["-4:4:0", "-4:4:0.3"])
+    def test_q_grid_without_whole_steps_is_an_error(self, long_panel_file, tmp_path, capsys, grid):
+        rc = main(["mfdfa", "--input", long_panel_file, f"--q-grid={grid}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--q-grid" in err["error"]
+
+    def test_zero_modes_is_an_error(self, long_panel_file, tmp_path, capsys):
+        rc = main(["mfdfa", "--input", long_panel_file, "--modes", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--modes" in err["error"]
 
 
 class TestMainReport:

@@ -3,15 +3,57 @@ import math
 import numpy as np
 import pytest
 
+from xcorr.panel import ReturnPanel, standardize
 from xcorr.spectrum import correlation_matrix, eigendecompose, mp_bounds, overlap_fraction
 from xcorr.synth import (
+    _FACTOR_STREAM_BASE,
     PRESET_NAMES,
     MarketModel,
+    _sector_assignment,
+    _stream,
     burst_profile,
     expected_lambda1,
     generate,
     preset,
 )
+
+
+def per_asset_reference(m):
+    """generate() as defined: each asset's log-AR(1) volatility run on its own."""
+    t = m.t_length
+    market = _stream(m.seed, _FACTOR_STREAM_BASE).standard_normal(t)
+    sectors = [
+        _stream(m.seed, _FACTOR_STREAM_BASE + 1 + i).standard_normal(t)
+        for i in range(len(m.sector_spec))
+    ]
+    sector_idx, sector_beta = _sector_assignment(m)
+    rows = np.empty((m.n_assets, t))
+    for k in range(m.n_assets):
+        rng = _stream(m.seed, k)
+        eps = rng.standard_normal(t)
+        g = m.market_loading * market + m.idiosyncratic_sigma * eps
+        if sector_idx[k] >= 0:
+            g = g + sector_beta[k] * sectors[sector_idx[k]]
+        if m.vol_clustering is not None:
+            a, s = m.vol_clustering
+            eta = rng.standard_normal(t)
+            v = np.empty(t)
+            v[0] = eta[0] * (s / math.sqrt(1.0 - a * a) if a > 0 else s)
+            for j in range(1, t):
+                v[j] = a * v[j - 1] + s * eta[j]
+            g = g * np.exp(v)
+        rows[k] = g
+    if m.intraday_profile is not None:
+        u = np.tile(m.intraday_profile, -(-t // m.bars_per_day))[:t]
+        rows = rows * u[None, :]
+    raw = ReturnPanel(
+        assets=[f"SYN{k:03d}" for k in range(m.n_assets)],
+        returns=rows,
+        standardized=False,
+        bars_per_day=m.bars_per_day,
+        dt_seconds=m.dt_seconds,
+    )
+    return standardize(raw)
 
 
 class TestMarketModelValidation:
@@ -98,10 +140,26 @@ class TestGenerate:
     def test_adding_assets_keeps_existing_rows(self):
         # Per-asset streams are keyed by asset index, so widening the universe
         # reproduces the previous assets' series bit for bit.
-        kw = dict(t_length=500, bars_per_day=50, market_loading=0.4, seed=9)
-        small = generate(MarketModel(n_assets=2, **kw))
-        wide = generate(MarketModel(n_assets=3, **kw))
-        assert np.allclose(small.returns, wide.returns[:2], atol=1e-12)
+        for vol in (None, (0.9, 0.2)):
+            kw = dict(t_length=500, bars_per_day=50, market_loading=0.4, vol_clustering=vol, seed=9)
+            small = generate(MarketModel(n_assets=2, **kw))
+            wide = generate(MarketModel(n_assets=3, **kw))
+            assert np.array_equal(small.returns, wide.returns[:2]), vol
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("one_factor", dict(n_assets=12, vol_clustering=(0.97, 0.2))),
+            ("market_sectors", dict(n_assets=50, vol_clustering=(0.97, 0.2))),
+            ("intraday", dict(n_assets=8, vol_clustering=(0.8, 0.3))),
+            ("one_factor", dict(n_assets=6, vol_clustering=(0.0, 0.3))),
+            ("one_factor", dict(n_assets=1, vol_clustering=(0.9, 0.1))),
+        ],
+        ids=["one_factor", "sectors", "intraday", "a=0", "N=1"],
+    )
+    def test_vol_clustering_matches_per_asset_recursion(self, name, overrides):
+        m = preset(name, seed=13, t_length=1500, **overrides)
+        assert np.array_equal(generate(m).returns, per_asset_reference(m).returns)
 
     def test_null_model_matches_random_band(self):
         p = generate(MarketModel(n_assets=30, t_length=3000, bars_per_day=100, seed=0))

@@ -25,23 +25,22 @@ def main():
     print(f"panel: N={panel.n_assets}, T={panel.t_length}; "
           f"MP bulk [{bounds.lambda_min:.3f}, {bounds.lambda_max:.3f}]")
 
-    for count in range(4):
-        if count == 0:
-            current, label = panel, "original"
-        else:
-            residual = remove_modes_iterative(panel, count)
-            current, label = residual.panel, f"after {count} removal pass(es)"
-        spectrum = eigendecompose(correlation_matrix(current))
+    # One run of three passes; it records the spectrum entering each pass, so
+    # only the final residual still needs diagonalizing.
+    residual = remove_modes_iterative(panel, 3)
+    spectra = [*residual.spectra, eigendecompose(correlation_matrix(residual.panel))]
+    beta1 = residual.betas[0]
+    for count, spectrum in enumerate(spectra):
+        label = "original" if count == 0 else f"after {count} removal pass(es)"
         lam = spectrum.eigenvalues
         above = int((lam > bounds.lambda_max).sum())
         print(f"\n{label}:")
         print(f"  top eigenvalues : {np.array2string(lam[:5], precision=3)}")
         print(f"  above the bulk  : {above}")
         print(f"  bulk overlap    : {overlap_fraction(spectrum, bounds):.3f}")
-        print(f"  trace           : {lam.sum():.6f} (N = {current.n_assets})")
+        print(f"  trace           : {lam.sum():.6f} (N = {spectrum.n_series})")
         if count:
             print(f"  exact zero modes: {int((lam < 1e-10).sum())}")
-            beta1 = residual.betas[0]
             print(f"  pass-1 market betas: min {beta1.min():+.3f} max {beta1.max():+.3f}")
 
 

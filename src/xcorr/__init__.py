@@ -16,15 +16,7 @@ from .mfdfa import (
     singularity_spectrum,
 )
 from .modes import Eigensignal, ResidualPanel, eigensignals, remove_mode, remove_modes_iterative
-from .panel import (
-    PricePanel,
-    ReturnPanel,
-    SignMagnitudePanel,
-    coarsen,
-    decompose,
-    log_returns,
-    standardize,
-)
+from .panel import PricePanel, ReturnPanel, coarsen, log_returns, standardize
 from .spectrum import (
     CorrelationMatrix,
     EigenSpectrum,
@@ -53,10 +45,8 @@ __version__ = "0.1.0"
 __all__ = [
     "PricePanel",
     "ReturnPanel",
-    "SignMagnitudePanel",
     "log_returns",
     "standardize",
-    "decompose",
     "coarsen",
     "CorrelationMatrix",
     "EigenSpectrum",

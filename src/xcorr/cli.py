@@ -37,6 +37,7 @@ __all__ = ["main", "run", "ingest", "export_panel"]
 
 PANEL_MAGIC = "xcorr-panel-v1"
 MISSING_DROP_FRACTION = 0.05
+MAX_Q_POINTS = 10_000
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -71,6 +72,14 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
             fh.write(str(j) + "," + ",".join(repr(float(x)) for x in cols[j]) + "\n")
 
 
+def _check_unique(assets, where):
+    seen = set()
+    for a in assets:
+        if a in seen:
+            raise ValueError(f"{where}: duplicate asset name {a!r} in header")
+        seen.add(a)
+
+
 def _read_panel_csv(path) -> ReturnPanel:
     meta = {}
     header = None
@@ -93,6 +102,7 @@ def _read_panel_csv(path) -> ReturnPanel:
                 header = fields
                 if header[0] != "bar" or len(header) < 2:
                     raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
+                _check_unique(header[1:], f"line {lineno}")
                 continue
             if len(fields) != len(header):
                 raise ValueError(
@@ -126,6 +136,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
         if len(header) < 2:
             raise ValueError("wide CSV needs a time column plus at least one asset")
         assets = [a.strip() for a in header[1:]]
+        _check_unique(assets, "line 1")
         timestamps, rows = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not f.strip() for f in row):
@@ -374,6 +385,11 @@ def _parse_q_grid(text) -> np.ndarray:
     if not (np.isfinite([lo, hi, step]).all() and step > 0 and hi > lo):
         raise ValueError(f"--q-grid needs finite min < max and a step > 0, got {text!r}")
     span = (hi - lo) / step
+    if span + 1 > MAX_Q_POINTS:
+        raise ValueError(
+            f"--q-grid {text!r} has about {span + 1:.3g} moments; "
+            f"at most {MAX_Q_POINTS} are allowed"
+        )
     n = round(span)
     if abs(span - n) > 1e-9 * span:
         raise ValueError(
@@ -455,27 +471,29 @@ def _run_elements(cfg, out, h):
 
 def _run_remove(cfg, out, h):
     r = _load_panel(cfg)
-    count = int(cfg["remove_count"])
-    _, s0, b, gamma0 = _spectrum_payload(r)
+    res = remove_modes_iterative(r, int(cfg["remove_count"]),
+                                 from_original=bool(cfg["from_original"]))
+    # spectra[p] is the spectrum entering pass p + 1, i.e. after p removals;
+    # only the residual left by the last pass still needs diagonalizing.
+    _, s_final, _, _ = _spectrum_payload(res.panel)
     passes = []
-    res = None
-    for p in range(1, count + 1):
-        res = remove_modes_iterative(r, p, from_original=bool(cfg["from_original"]))
-        _, s, _, gamma = _spectrum_payload(res.panel)
+    for p, s in enumerate([*res.spectra[1:], s_final], start=1):
         passes.append(
             {
                 "removed": p,
                 "eigenvalues": s.eigenvalues.tolist(),
-                "overlap_fraction": gamma,
-                "n_series": res.panel.n_assets,
+                "overlap_fraction": overlap_fraction(s, mp_bounds(s.source_q)),
+                "n_series": s.n_series,
             }
         )
+    s0 = res.spectra[0]
+    b = mp_bounds(s0.source_q)
     payload = res.to_dict()
     payload.update(
         {
             "config_hash": h,
             "original_eigenvalues": s0.eigenvalues.tolist(),
-            "original_overlap_fraction": gamma0,
+            "original_overlap_fraction": overlap_fraction(s0, b),
             "mp": b.to_dict(),
             "passes_spectra": passes,
         }
@@ -483,9 +501,8 @@ def _run_remove(cfg, out, h):
     _write_json(out, "remove.json", payload)
     export_panel(res.panel, os.path.join(out, "residual_panel.csv"),
                  extra_comments=[f"config_hash: {h}"])
-    final = np.array(passes[-1]["eigenvalues"])
     _write_plot(out, "fig2c-analogue.txt", "fig2c-analogue", h,
-                ("rank", "eigenvalue"), np.arange(1, final.size + 1), final)
+                ("rank", "eigenvalue"), np.arange(1, s_final.n_series + 1), s_final.eigenvalues)
     return 0
 
 

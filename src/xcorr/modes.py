@@ -15,7 +15,6 @@ __all__ = [
     "Eigensignal",
     "ResidualPanel",
     "eigensignals",
-    "portfolio_return",
     "remove_mode",
     "remove_modes_iterative",
 ]
@@ -65,9 +64,10 @@ class ResidualPanel:
 
     ``removed_modes`` lists the 1-based rank removed at each pass; ``alphas``
     and ``betas`` hold one coefficient array per pass, aligned with
-    ``pass_assets`` (the asset list at the start of that pass).  Assets whose
+    ``pass_assets`` (the asset list at the start of that pass) and ``spectra``
+    (the EigenSpectrum of the panel entering that pass).  Assets whose
     residual variance collapses to zero are dropped and recorded in
-    ``dropped_assets``.
+    ``dropped_assets``.  ``spectra`` is not part of :meth:`to_dict`.
     """
 
     panel: ReturnPanel
@@ -76,10 +76,12 @@ class ResidualPanel:
     betas: list
     pass_assets: list
     dropped_assets: list
+    spectra: list
 
     def __post_init__(self):
         n_pass = len(self.removed_modes)
-        if not (len(self.alphas) == len(self.betas) == len(self.pass_assets) == n_pass):
+        lengths = (len(self.alphas), len(self.betas), len(self.pass_assets), len(self.spectra))
+        if any(n != n_pass for n in lengths):
             raise ValueError("per-pass bookkeeping lists must have equal length")
 
     def to_dict(self):
@@ -101,14 +103,6 @@ class ResidualPanel:
         }
 
 
-def portfolio_return(r: ReturnPanel, weights) -> np.ndarray:
-    """Return series of the portfolio with the given per-asset weights."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (r.n_assets,):
-        raise ValueError(f"weights must have length {r.n_assets}, got shape {w.shape}")
-    return w @ r.returns
-
-
 def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
     """Eigensignals z_i(j) = sum_k x_i^(k) g_k(j) for the requested 1-based ranks."""
     if not r.standardized:
@@ -121,7 +115,7 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
     for i in indices:
         if not 1 <= i <= s.n_series:
             raise ValueError(f"mode index {i} outside 1..{s.n_series}")
-        z = portfolio_return(r, s.eigenvectors[:, i - 1])
+        z = s.eigenvectors[:, i - 1] @ r.returns
         out.append(Eigensignal(index=int(i), series=z, eigenvalue=float(s.eigenvalues[i - 1])))
     return out
 
@@ -181,6 +175,7 @@ def remove_mode(r: ReturnPanel, z: Eigensignal) -> ResidualPanel:
         betas=[betas],
         pass_assets=[list(r.assets)],
         dropped_assets=dropped,
+        spectra=[eigendecompose(correlation_matrix(r))],
     )
 
 
@@ -190,21 +185,22 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
     By default each pass removes the *current* residual matrix's top mode
     (sequential reading of repeated removal).  With ``from_original=True`` the
     regressors are the original panel's eigensignals z_1..z_count instead.
+    Either way the spectrum of the panel entering each pass is recorded in
+    ``spectra``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     current = r if r.standardized else standardize(r)
-    removed, alphas, betas, pass_assets, dropped = [], [], [], [], []
-
-    if from_original:
-        spec0 = eigendecompose(correlation_matrix(current))
-        regressors = eigensignals(current, spec0, range(1, count + 1))
+    removed, alphas, betas, pass_assets, dropped, spectra = [], [], [], [], [], []
 
     for p in range(count):
+        spec = eigendecompose(correlation_matrix(current))
+        spectra.append(spec)
         if from_original:
+            if p == 0:
+                regressors = eigensignals(current, spec, range(1, count + 1))
             z = regressors[p]
         else:
-            spec = eigendecompose(correlation_matrix(current))
             (z,) = eigensignals(current, spec, [1])
             # Sequential passes always strip the current top mode; label it
             # with the pass rank so the record reads "modes 1..count removed".
@@ -223,4 +219,5 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
         betas=betas,
         pass_assets=pass_assets,
         dropped_assets=dropped,
+        spectra=spectra,
     )

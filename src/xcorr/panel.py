@@ -1,4 +1,4 @@
-"""Return panels: log-returns, standardization, sign/magnitude split, coarsening."""
+"""Return panels: log-returns, standardization, coarsening."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ import numpy as np
 __all__ = [
     "PricePanel",
     "ReturnPanel",
-    "SignMagnitudePanel",
     "log_returns",
     "standardize",
-    "decompose",
     "coarsen",
 ]
 
@@ -144,26 +142,6 @@ class ReturnPanel:
         return self.returns[:, j]
 
 
-@dataclass
-class SignMagnitudePanel:
-    """Elementwise split of a return panel into signs (-1/0/+1) and magnitudes."""
-
-    signs: np.ndarray
-    magnitudes: np.ndarray
-
-    def __post_init__(self):
-        self.signs = _as_matrix(self.signs, "signs")
-        self.magnitudes = _as_matrix(self.magnitudes, "magnitudes")
-        if self.signs.shape != self.magnitudes.shape:
-            raise ValueError("signs and magnitudes must have the same shape")
-        if not np.isin(self.signs, (-1.0, 0.0, 1.0)).all():
-            raise ValueError("signs must take values in {-1, 0, +1}")
-        if (self.magnitudes < 0).any():
-            raise ValueError("magnitudes must be non-negative")
-        if ((self.magnitudes == 0) != (self.signs == 0)).any():
-            raise ValueError("zero magnitudes must pair with zero signs and vice versa")
-
-
 def log_returns(p: PricePanel) -> ReturnPanel:
     """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset."""
     returns = np.diff(np.log(p.prices), axis=1)
@@ -190,11 +168,6 @@ def standardize(r: ReturnPanel) -> ReturnPanel:
         bars_per_day=r.bars_per_day,
         dt_seconds=r.dt_seconds,
     )
-
-
-def decompose(r: ReturnPanel) -> SignMagnitudePanel:
-    """Split returns into sign and magnitude; signs * magnitudes reconstructs exactly."""
-    return SignMagnitudePanel(signs=np.sign(r.returns), magnitudes=np.abs(r.returns))
 
 
 def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:

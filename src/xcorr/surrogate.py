@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .panel import ReturnPanel, decompose, standardize
+from .panel import ReturnPanel, standardize
 
 __all__ = [
     "KINDS",
@@ -124,11 +124,10 @@ def shuffle_signs(r: ReturnPanel, seed) -> ReturnPanel:
     Zero returns carry sign 0 and take part in the permutation like any other
     value.  The output is generally no longer standardized.
     """
-    sm = decompose(r)
     rows = np.empty_like(r.returns)
-    for i in range(r.n_assets):
+    for i, x in enumerate(r.returns):
         perm = _row_rng(seed, i).permutation(r.t_length)
-        rows[i] = sm.signs[i][perm] * sm.magnitudes[i]
+        rows[i] = np.sign(x)[perm] * np.abs(x)
     return ReturnPanel(
         assets=list(r.assets),
         returns=rows,
@@ -140,11 +139,10 @@ def shuffle_signs(r: ReturnPanel, seed) -> ReturnPanel:
 
 def shuffle_magnitudes(r: ReturnPanel, seed) -> ReturnPanel:
     """Permute each row's magnitude sequence; signs stay in place."""
-    sm = decompose(r)
     rows = np.empty_like(r.returns)
-    for i in range(r.n_assets):
+    for i, x in enumerate(r.returns):
         perm = _row_rng(seed, i).permutation(r.t_length)
-        rows[i] = sm.signs[i] * sm.magnitudes[i][perm]
+        rows[i] = np.sign(x) * np.abs(x)[perm]
     return ReturnPanel(
         assets=list(r.assets),
         returns=rows,

@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
+import xcorr.cli
+import xcorr.modes
 from xcorr.cli import export_panel, ingest, main
+from xcorr.modes import remove_modes_iterative
 from xcorr.panel import PricePanel, ReturnPanel, log_returns
+from xcorr.spectrum import correlation_matrix, eigendecompose, mp_bounds, overlap_fraction
 from xcorr.synth import MarketModel, generate
 
 
@@ -69,6 +73,12 @@ class TestPanelRoundTrip:
         with pytest.raises(ValueError, match="line 4"):
             ingest(str(path), "panel")
 
+    def test_duplicate_asset_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("# xcorr-panel-v1\nbar,A,A,B\n0,1.0,2.0,3.0\n1,2.0,1.0,0.5\n")
+        with pytest.raises(ValueError, match="duplicate asset name 'A'"):
+            ingest(str(path), "panel")
+
     def test_empty_panel_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# xcorr-panel-v1\nbar,A\n")
@@ -117,6 +127,12 @@ class TestWideIngest:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="first bar"):
             ingest(str(path), "wide", bars_per_day=3)
+
+    def test_duplicate_asset_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("timestamp,A,A,B\n0,100,101,50\n60,101,102,51\n")
+        with pytest.raises(ValueError, match="duplicate asset name 'A'"):
+            ingest(str(path), "wide", bars_per_day=1)
 
     def test_unparseable_price_names_line_and_asset(self, tmp_path):
         path = tmp_path / "badprice.csv"
@@ -254,6 +270,72 @@ class TestMainRemove:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["from_original"] is True
 
+    @pytest.fixture
+    def sector_panel_file(self, tmp_path):
+        p = generate(MarketModel(n_assets=12, t_length=600, bars_per_day=20,
+                                 market_loading=0.6, sector_spec=[(6, 0.5), (6, 0.4)],
+                                 seed=4))
+        path = tmp_path / "sectors.csv"
+        export_panel(p, path)
+        return str(path)
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_one_run_computes_each_spectrum_once(self, sector_panel_file, tmp_path,
+                                                 monkeypatch, from_original):
+        calls = {"corr": 0, "regress": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        corr = counted(correlation_matrix, "corr")
+        monkeypatch.setattr(xcorr.cli, "correlation_matrix", corr)
+        monkeypatch.setattr(xcorr.modes, "correlation_matrix", corr)
+        monkeypatch.setattr(xcorr.modes, "_regress_out",
+                            counted(xcorr.modes._regress_out, "regress"))
+        argv = ["remove", "--input", sector_panel_file, "--remove-count", "3",
+                "--out", str(tmp_path / "out")]
+        assert main(argv + (["--from-original"] if from_original else [])) == 0
+        assert calls == {"corr": 4, "regress": 3}
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_artifacts_match_one_run_per_count(self, sector_panel_file, tmp_path, from_original):
+        # Reference: the former runner, which re-ran the removal from scratch
+        # for every pass count p = 1..3 and diagonalized each result.
+        def payload(r):
+            c = correlation_matrix(r)
+            s = eigendecompose(c)
+            b = mp_bounds(c.t_length / c.n_series)
+            return s, b, overlap_fraction(s, b)
+
+        r = ingest(sector_panel_file, "panel")
+        s0, b0, gamma0 = payload(r)
+        passes = []
+        for p in range(1, 4):
+            res = remove_modes_iterative(r, p, from_original=from_original)
+            s, _, gamma = payload(res.panel)
+            passes.append({"removed": p, "eigenvalues": s.eigenvalues.tolist(),
+                           "overlap_fraction": gamma, "n_series": res.panel.n_assets})
+
+        out = tmp_path / "out"
+        argv = ["remove", "--input", sector_panel_file, "--remove-count", "3", "--out", str(out)]
+        assert main(argv + (["--from-original"] if from_original else [])) == 0
+        got = json.loads((out / "remove.json").read_text())
+        expect = res.to_dict()
+        expect.update({
+            "config_hash": got["config_hash"],
+            "original_eigenvalues": s0.eigenvalues.tolist(),
+            "original_overlap_fraction": gamma0,
+            "mp": b0.to_dict(),
+            "passes_spectra": passes,
+        })
+        assert got == expect
+        ref_panel = tmp_path / "ref_panel.csv"
+        export_panel(res.panel, ref_panel, extra_comments=[f"config_hash: {got['config_hash']}"])
+        assert _read(out / "residual_panel.csv") == _read(ref_panel)
+
     def test_zero_remove_count_is_an_error(self, panel_file, tmp_path, capsys):
         rc = main(["remove", "--input", panel_file, "--remove-count", "0",
                    "--out", str(tmp_path / "out")])
@@ -343,6 +425,15 @@ class TestMainMfdfa:
     @pytest.mark.parametrize("grid", ["-4:4:0", "-4:4:0.3"])
     def test_q_grid_without_whole_steps_is_an_error(self, long_panel_file, tmp_path, capsys, grid):
         rc = main(["mfdfa", "--input", long_panel_file, f"--q-grid={grid}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--q-grid" in err["error"]
+
+    def test_q_grid_with_too_many_moments_is_an_error(self, long_panel_file, tmp_path, capsys):
+        # The size check runs before the grid is built, so nothing is allocated.
+        rc = main(["mfdfa", "--input", long_panel_file, "--q-grid=-4:4:1e-9",
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         err = _stderr_json(capsys)

@@ -1,0 +1,28 @@
+"""Every exported name resolves.
+
+Tooling walks ``__all__`` with ``getattr`` (for example to wrap each public
+function), so a stale entry left behind by a deletion must fail here first.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import xcorr
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(xcorr.__path__))
+
+
+def test_submodules_are_found():
+    assert {"cli", "modes", "panel", "spectrum", "surrogate"} <= set(SUBMODULES)
+
+
+@pytest.mark.parametrize("module", ["xcorr"] + [f"xcorr.{name}" for name in SUBMODULES])
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert names, f"{module} declares no __all__"
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(names)) == len(names)

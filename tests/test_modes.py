@@ -7,7 +7,6 @@ from xcorr.modes import (
     Eigensignal,
     ResidualPanel,
     eigensignals,
-    portfolio_return,
     remove_mode,
     remove_modes_iterative,
 )
@@ -58,20 +57,6 @@ class TestEigensignal:
     def test_rejects_two_dimensional_series(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             Eigensignal(index=1, series=np.zeros((2, 4)), eigenvalue=0.0)
-
-
-class TestPortfolioReturn:
-    def test_one_hot_weight_returns_that_row(self, panel_3x16):
-        z = portfolio_return(panel_3x16, [0.0, 1.0, 0.0])
-        assert np.array_equal(z, panel_3x16.returns[1])
-
-    def test_equal_weights_give_cross_sectional_mean(self, panel_3x16):
-        z = portfolio_return(panel_3x16, np.full(3, 1.0 / 3.0))
-        assert np.allclose(z, panel_3x16.returns.mean(axis=0), atol=1e-12)
-
-    def test_rejects_wrong_length(self, panel_3x16):
-        with pytest.raises(ValueError, match="length 3"):
-            portfolio_return(panel_3x16, [1.0, 0.0])
 
 
 class TestEigensignals:
@@ -255,6 +240,27 @@ class TestRemoveModesIterative:
         with pytest.raises(ValueError, match="count"):
             remove_modes_iterative(panel_4x64, 0)
 
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_spectra_are_the_spectra_entering_each_pass(self, from_original):
+        p = _two_sector_panel()
+        res = remove_modes_iterative(p, 3, from_original=from_original)
+        assert len(res.spectra) == 3
+        for count, s in enumerate(res.spectra):
+            entering = p if count == 0 else remove_modes_iterative(
+                p, count, from_original=from_original).panel
+            ref = eigendecompose(correlation_matrix(entering))
+            assert np.array_equal(s.eigenvalues, ref.eigenvalues)
+            assert np.array_equal(s.eigenvectors, ref.eigenvectors)
+            assert s.source_q == ref.source_q
+            assert s.n_series == len(res.pass_assets[count])
+
+    def test_remove_mode_records_input_spectrum(self, panel_4x64):
+        s = eigendecompose(correlation_matrix(panel_4x64))
+        (z,) = eigensignals(panel_4x64, s, [1])
+        (recorded,) = remove_mode(panel_4x64, z).spectra
+        assert np.array_equal(recorded.eigenvalues, s.eigenvalues)
+        assert np.array_equal(recorded.eigenvectors, s.eigenvectors)
+
     def test_to_dict_records_passes(self, panel_4x64):
         res = remove_modes_iterative(panel_4x64, 2)
         d = res.to_dict()
@@ -263,16 +269,23 @@ class TestRemoveModesIterative:
         assert d["passes"][0]["assets"] == ["A", "B", "C", "D"]
         assert len(d["passes"][1]["betas"]) == 4
         assert d["dropped_assets"] == []
+        assert "spectra" not in d
 
 
 class TestResidualPanelValidation:
     def test_bookkeeping_lengths_must_agree(self, panel_4x64):
-        with pytest.raises(ValueError, match="equal length"):
-            ResidualPanel(
-                panel=panel_4x64,
-                removed_modes=[1, 2],
-                alphas=[np.zeros(4)],
-                betas=[np.zeros(4)],
-                pass_assets=[["A", "B", "C", "D"]],
-                dropped_assets=[],
-            )
+        s = eigendecompose(correlation_matrix(panel_4x64))
+        one_pass = dict(
+            panel=panel_4x64,
+            removed_modes=[1],
+            alphas=[np.zeros(4)],
+            betas=[np.zeros(4)],
+            pass_assets=[["A", "B", "C", "D"]],
+            dropped_assets=[],
+            spectra=[s],
+        )
+        ResidualPanel(**one_pass)
+        for key in ("removed_modes", "alphas", "betas", "pass_assets", "spectra"):
+            bad = dict(one_pass, **{key: one_pass[key] * 2})
+            with pytest.raises(ValueError, match="equal length"):
+                ResidualPanel(**bad)

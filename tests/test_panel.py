@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from xcorr.cli import ingest
-from xcorr.panel import (
-    PricePanel,
-    ReturnPanel,
-    SignMagnitudePanel,
-    coarsen,
-    decompose,
-    log_returns,
-    standardize,
-)
+from xcorr.panel import PricePanel, ReturnPanel, coarsen, log_returns, standardize
 
 
 def price_panel(rows, bars_per_day=4, dt=300.0):
@@ -91,26 +83,6 @@ class TestStandardize:
     def test_idempotence(self, panel_3x16):
         again = standardize(panel_3x16)
         assert np.allclose(again.returns, panel_3x16.returns, atol=1e-12)
-
-
-class TestDecompose:
-    def test_negative_return(self):
-        sm = decompose(ReturnPanel(["A"], [[-0.3, 0.1]], False, 1, 60.0))
-        assert sm.signs[0, 0] == -1 and sm.magnitudes[0, 0] == 0.3
-
-    def test_zero_return(self):
-        sm = decompose(ReturnPanel(["A"], [[0.0, 0.1]], False, 1, 60.0))
-        assert sm.signs[0, 0] == 0 and sm.magnitudes[0, 0] == 0.0
-
-    def test_reconstruction_identity_bitwise(self, panel_3x16):
-        sm = decompose(panel_3x16)
-        assert np.array_equal(sm.signs * sm.magnitudes, panel_3x16.returns)
-
-    def test_zero_correspondence_enforced(self):
-        with pytest.raises(ValueError):
-            SignMagnitudePanel(signs=np.array([[0.0]]), magnitudes=np.array([[0.5]]))
-        with pytest.raises(ValueError):
-            SignMagnitudePanel(signs=np.array([[2.0]]), magnitudes=np.array([[0.5]]))
 
 
 class TestCoarsen:

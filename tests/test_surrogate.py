@@ -220,6 +220,29 @@ class TestShuffleMagnitudes:
         assert np.array_equal(a.returns, b.returns)
 
 
+@pytest.mark.parametrize("kind", ["shuffle_signs", "shuffle_magnitudes"])
+def test_shuffles_match_sign_magnitude_split(kind):
+    # Reference: the former formula, which split the whole panel into a sign
+    # panel and a magnitude panel first and permuted rows of one of them.
+    rng = np.random.Generator(np.random.Philox(key=np.array([107, 0], dtype=np.uint64)))
+    rows = rng.standard_normal((5, 300))
+    rows[rng.random((5, 300)) < 0.2] = 0.0
+    p = _panel(rows)
+    seed = 11
+    signs, magnitudes = np.sign(p.returns), np.abs(p.returns)
+    expect = np.empty_like(rows)
+    for i in range(5):
+        perm = np.random.Generator(
+            np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+        ).permutation(300)
+        if kind == "shuffle_signs":
+            expect[i] = signs[i][perm] * magnitudes[i]
+        else:
+            expect[i] = signs[i] * magnitudes[i][perm]
+    out = apply_surrogate(p, SurrogateSpec(kind=kind, seed=seed))
+    assert np.array_equal(out.returns, expect)
+
+
 class TestSignsOnly:
     def test_balanced_rows_kept_exactly(self):
         rows = [[1.5, -0.2, 2.0, -3.0], [-1.0, 0.7, -0.4, 2.2]]

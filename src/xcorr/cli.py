@@ -281,6 +281,33 @@ DEFAULTS = {
     "out": "xcorr_out",
 }
 
+# The type the flag of each key whose default is None parses to; every other
+# flag parses to the type of its default.
+_NULLABLE_TYPES = {
+    "input": str,
+    "preset": str,
+    "seed": int,
+    "q_target": float,
+    "surrogate_kind": str,
+    "scales": str,
+}
+
+
+def _check_file_value(path, key, val):
+    """A config-file value, checked against the type its flag parses to."""
+    nullable = DEFAULTS[key] is None
+    want = _NULLABLE_TYPES[key] if nullable else type(DEFAULTS[key])
+    if val is None and nullable:
+        return val
+    if want is float and type(val) is int:
+        return float(val)
+    if type(val) is not want:
+        raise ValueError(
+            f"config file {path}: {key!r} must be {want.__name__}"
+            f"{' or null' if nullable else ''}, got {val!r}"
+        )
+    return val
+
 
 def _effective_config(args) -> dict:
     cfg = dict(DEFAULTS)
@@ -291,10 +318,12 @@ def _effective_config(args) -> dict:
                 file_cfg = json.load(fh)
             except json.JSONDecodeError as e:
                 raise ValueError(f"config file {args.config}: {e}") from None
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
+        cfg.update({k: _check_file_value(args.config, k, v) for k, v in file_cfg.items()})
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
@@ -308,9 +337,9 @@ def _effective_config(args) -> dict:
                 raise ValueError(f"XCORR_SEED must be an integer, got {env!r}") from None
         else:
             cfg["seed"] = 0
-    cfg["seed"] = int(cfg["seed"])
-    for key, flag in (("remove_count", "--remove-count"), ("modes", "--modes")):
-        if int(cfg[key]) < 1:
+    for key, flag in (("remove_count", "--remove-count"), ("modes", "--modes"),
+                      ("bars_per_day", "--bars-per-day")):
+        if cfg[key] < 1:
             raise ValueError(f"{flag} must be at least 1, got {cfg[key]!r}")
     return cfg
 
@@ -399,6 +428,16 @@ def _parse_q_grid(text) -> np.ndarray:
     q = lo + step * np.arange(n + 1)
     q[np.abs(q) < 1e-12] = 0.0
     return q
+
+
+def _parse_factors(text) -> list:
+    try:
+        factors = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        factors = []
+    if not factors or min(factors) < 1:
+        raise ValueError(f"--factors must be a comma list of positive integers, got {text!r}")
+    return factors
 
 
 def _parse_scales(text):
@@ -586,11 +625,9 @@ def _run_report(cfg, out, h):
     r = _load_panel(cfg)
     c, s, b, gamma = _spectrum_payload(r)
     dist = element_distribution(c, int(cfg["bins"]))
-    factors = [int(x) for x in str(cfg["factors"]).split(",") if x.strip()]
     lam_vs_factor = []
-    for factor in factors:
-        rc = r if factor == 1 else standardize(coarsen(r, factor))
-        _, sc, _, _ = _spectrum_payload(rc)
+    for factor in _parse_factors(cfg["factors"]):
+        sc = s if factor == 1 else _spectrum_payload(standardize(coarsen(r, factor)))[1]
         lam_vs_factor.append([factor, float(sc.eigenvalues[0])])
     _write_json(
         out,

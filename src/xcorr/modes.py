@@ -4,7 +4,7 @@ collective modes by least-squares regression."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,12 +150,11 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     if dots.max() >= ORTHO_TOL:
         raise ValueError("residuals are not orthogonal to the removed mode within 1e-8")
 
-    out = ReturnPanel(
+    out = replace(
+        r,
         assets=[a for a, k in zip(r.assets, keep) if k],
         returns=kept / np.sqrt(res_var[keep])[:, None],
         standardized=True,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
     )
     dropped = [a for a, k in zip(r.assets, keep) if not k]
     return out, alphas, betas, dropped

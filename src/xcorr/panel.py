@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,13 +161,7 @@ def standardize(r: ReturnPanel) -> ReturnPanel:
     flat = np.flatnonzero(stds[:, 0] == 0)
     if flat.size:
         raise ValueError(f"cannot standardize zero-variance series {r.assets[flat[0]]!r}")
-    return ReturnPanel(
-        assets=r.assets,
-        returns=(r.returns - means) / stds,
-        standardized=True,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
-    )
+    return replace(r, returns=(r.returns - means) / stds, standardized=True)
 
 
 def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:
@@ -186,8 +180,8 @@ def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:
         )
     t_new = r.t_length // factor
     blocks = r.returns[:, : t_new * factor].reshape(r.n_assets, t_new, factor)
-    return ReturnPanel(
-        assets=r.assets,
+    return replace(
+        r,
         returns=blocks.sum(axis=2),
         standardized=False,
         bars_per_day=r.bars_per_day // factor,

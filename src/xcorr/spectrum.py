@@ -4,7 +4,7 @@ distribution of matrix elements."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -287,13 +287,7 @@ def windowed_element_distribution(
     pooled = []
     iu = np.triu_indices(n, k=1)
     for w in range(n_windows):
-        chunk = ReturnPanel(
-            assets=r.assets,
-            returns=r.returns[:, w * window : (w + 1) * window],
-            standardized=False,
-            bars_per_day=r.bars_per_day,
-            dt_seconds=r.dt_seconds,
-        )
+        chunk = replace(r, returns=r.returns[:, w * window : (w + 1) * window], standardized=False)
         c = correlation_matrix(standardize(chunk))
         pooled.append(c.values[iu])
     if n < 3:

@@ -9,7 +9,7 @@ index), so results are reproducible and independent of evaluation order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,24 +64,26 @@ def _row_rng(seed, row):
     return np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
 
 
+def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
+    """Roll each row by an independent whole number of `unit`-bar blocks."""
+    full = r.t_length
+    t = full - full % unit
+    if t < full:
+        warnings.warn(f"trimming trailing partial day: {full - t} of {full} bars dropped")
+    rows = np.empty((r.n_assets, t))
+    for i in range(r.n_assets):
+        offset = int(_row_rng(seed, i).integers(0, t // unit)) * unit
+        rows[i] = np.roll(r.returns[i, :t], offset)
+    return replace(r, returns=rows, standardized=r.standardized and t == full)
+
+
 def rotate_free(r: ReturnPanel, seed) -> ReturnPanel:
     """Cyclically shift each row by an independent uniform offset in [0, T).
 
     Rotation preserves each row's value multiset and (up to wrap-around) its
     autocorrelation, but decouples the rows from each other.
     """
-    t = r.t_length
-    rows = np.empty_like(r.returns)
-    for i in range(r.n_assets):
-        offset = int(_row_rng(seed, i).integers(0, t))
-        rows[i] = np.roll(r.returns[i], offset)
-    return ReturnPanel(
-        assets=list(r.assets),
-        returns=rows,
-        standardized=r.standardized,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
-    )
+    return _rotate(r, seed, 1)
 
 
 def rotate_daily(r: ReturnPanel, seed) -> ReturnPanel:
@@ -92,30 +94,16 @@ def rotate_daily(r: ReturnPanel, seed) -> ReturnPanel:
     panel is no longer exactly standardized, so the flag is cleared in that
     case and the caller should re-standardize.
     """
-    bpd = r.bars_per_day
-    if bpd <= 0:
-        raise ValueError("bars_per_day must be positive")
-    t = r.t_length
-    returns = r.returns
-    standardized = r.standardized
-    if t % bpd:
-        keep = (t // bpd) * bpd
-        warnings.warn(f"trimming trailing partial day: {t - keep} of {t} bars dropped")
-        returns = returns[:, :keep]
-        t = keep
-        standardized = False
-    n_days = t // bpd
-    rows = np.empty((r.n_assets, t))
-    for i in range(r.n_assets):
-        offset = int(_row_rng(seed, i).integers(0, n_days)) * bpd
-        rows[i] = np.roll(returns[i], offset)
-    return ReturnPanel(
-        assets=list(r.assets),
-        returns=rows,
-        standardized=standardized,
-        bars_per_day=bpd,
-        dt_seconds=r.dt_seconds,
-    )
+    return _rotate(r, seed, r.bars_per_day)
+
+
+def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
+    """Permute each row's sign (`signs`) or magnitude sequence, the other in place."""
+    rows = np.empty_like(r.returns)
+    for i, x in enumerate(r.returns):
+        perm = _row_rng(seed, i).permutation(r.t_length)
+        rows[i] = np.sign(x)[perm] * np.abs(x) if signs else np.sign(x) * np.abs(x)[perm]
+    return replace(r, returns=rows, standardized=False)
 
 
 def shuffle_signs(r: ReturnPanel, seed) -> ReturnPanel:
@@ -124,32 +112,12 @@ def shuffle_signs(r: ReturnPanel, seed) -> ReturnPanel:
     Zero returns carry sign 0 and take part in the permutation like any other
     value.  The output is generally no longer standardized.
     """
-    rows = np.empty_like(r.returns)
-    for i, x in enumerate(r.returns):
-        perm = _row_rng(seed, i).permutation(r.t_length)
-        rows[i] = np.sign(x)[perm] * np.abs(x)
-    return ReturnPanel(
-        assets=list(r.assets),
-        returns=rows,
-        standardized=False,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
-    )
+    return _shuffle(r, seed, signs=True)
 
 
 def shuffle_magnitudes(r: ReturnPanel, seed) -> ReturnPanel:
     """Permute each row's magnitude sequence; signs stay in place."""
-    rows = np.empty_like(r.returns)
-    for i, x in enumerate(r.returns):
-        perm = _row_rng(seed, i).permutation(r.t_length)
-        rows[i] = np.sign(x) * np.abs(x)[perm]
-    return ReturnPanel(
-        assets=list(r.assets),
-        returns=rows,
-        standardized=False,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
-    )
+    return _shuffle(r, seed, signs=False)
 
 
 def _replace_rows(r: ReturnPanel, rows: np.ndarray, what: str) -> ReturnPanel:
@@ -160,14 +128,8 @@ def _replace_rows(r: ReturnPanel, rows: np.ndarray, what: str) -> ReturnPanel:
         warnings.warn(f"asset {name} has constant {what}; dropped")
     if not keep.any():
         raise ValueError(f"every asset has a constant {what} series")
-    panel = ReturnPanel(
-        assets=[a for a, k in zip(r.assets, keep) if k],
-        returns=rows[keep],
-        standardized=False,
-        bars_per_day=r.bars_per_day,
-        dt_seconds=r.dt_seconds,
-    )
-    return standardize(panel)
+    assets = [a for a, k in zip(r.assets, keep) if k]
+    return standardize(replace(r, assets=assets, returns=rows[keep], standardized=False))
 
 
 def signs_only(r: ReturnPanel) -> ReturnPanel:

@@ -468,6 +468,28 @@ class TestMainReport:
         assert rc == 1
         assert "divide" in _stderr_json(capsys)["error"]
 
+    @pytest.mark.parametrize("factors", ["a", ",", "0,2"])
+    def test_unparseable_factors_are_an_error(self, panel_file, tmp_path, capsys, factors):
+        rc = main(["report", "--input", panel_file, f"--factors={factors}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--factors" in err["error"]
+
+    def test_input_spectrum_is_reused_for_factor_one(self, panel_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return correlation_matrix(*args)
+
+        monkeypatch.setattr(xcorr.cli, "correlation_matrix", counted)
+        rc = main(["report", "--input", panel_file, "--factors", "1,2,4,8",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(calls) == 4
+
 
 class TestMainSynth:
     def test_preset_required(self, tmp_path, capsys):
@@ -502,6 +524,47 @@ class TestConfigPrecedence:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown config keys" in _stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("mfdfa", "q_grid", 5),
+        ("mfdfa", "scales", 5),
+        ("remove", "remove_count", None),
+        ("spectrum", "seed", [1]),
+        ("remove", "from_original", "no"),
+        ("remove", "remove_count", "2"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, panel_file, tmp_path, capsys,
+                                                 subcommand, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        rc = main([subcommand, "--input", panel_file, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert repr(key) in err["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", ["5", '["bins"]'])
+    def test_config_file_must_hold_an_object(self, panel_file, tmp_path, capsys, body):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(body)
+        rc = main(["spectrum", "--input", panel_file, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "JSON object" in err["error"]
+
+    def test_config_int_for_float_key_hashes_like_the_flag(self, panel_file, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"q_target": 2}))
+        outs = [tmp_path / "file", tmp_path / "flag"]
+        main(["elements", "--input", panel_file, "--config", str(cfg_path), "--out", str(outs[0])])
+        main(["elements", "--input", panel_file, "--q-target", "2", "--out", str(outs[1])])
+        echoed = [json.loads((out / "config.json").read_text()) for out in outs]
+        assert echoed[0] == echoed[1]
+        assert echoed[0]["q_target"] == 2.0
 
     def test_env_seed_fallback(self, panel_file, tmp_path, monkeypatch):
         monkeypatch.setenv("XCORR_SEED", "17")
@@ -563,6 +626,17 @@ class TestMainErrors:
         rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
         assert rc == 1
         assert "locked" in _stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("fmt", ["panel", "wide"])
+    def test_bars_per_day_below_one_is_an_error(self, panel_file, prices_small_path,
+                                               tmp_path, capsys, fmt):
+        path = panel_file if fmt == "panel" else prices_small_path
+        rc = main(["spectrum", "--input", path, "--format", fmt, "--bars-per-day", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--bars-per-day" in err["error"]
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--input", str(tmp_path / "nope.csv"),

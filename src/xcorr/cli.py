@@ -14,7 +14,9 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -312,6 +314,7 @@ def _check_file_value(path, key, val):
 def _effective_config(args) -> dict:
     cfg = dict(DEFAULTS)
     cfg["subcommand"] = args.command
+    file_cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             try:
@@ -341,6 +344,13 @@ def _effective_config(args) -> dict:
                       ("bars_per_day", "--bars-per-day")):
         if cfg[key] < 1:
             raise ValueError(f"{flag} must be at least 1, got {cfg[key]!r}")
+    explicit_bpd = "bars_per_day" in file_cfg or getattr(args, "bars_per_day", None) is not None
+    if explicit_bpd and (cfg["preset"] or cfg["format"] == "panel"):
+        source = "the preset" if cfg["preset"] else "the panel file header"
+        raise ValueError(
+            f"--bars-per-day {cfg['bars_per_day']!r} would be ignored: {source} sets "
+            "the bars per day; pass it only with --format wide or long"
+        )
     return cfg
 
 
@@ -671,10 +681,20 @@ def run(subcommand: str, cfg: dict) -> int:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     h = config_hash(cfg)
     with _OutputDir(cfg["out"]) as out:
-        echoed = {k: v for k, v in cfg.items() if k != "out"}
-        echoed["config_hash"] = h
-        _write_json(out, "config.json", echoed)
-        return _RUNNERS[subcommand](cfg, out, h)
+        # Artifacts go to a partial directory first and move into place only
+        # once the runner has succeeded, so a failed run leaves no partial set.
+        partial = tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
+        try:
+            echoed = {k: v for k, v in cfg.items() if k != "out"}
+            echoed["config_hash"] = h
+            _write_json(partial, "config.json", echoed)
+            code = _RUNNERS[subcommand](cfg, partial, h)
+            if code == 0:
+                for name in sorted(os.listdir(partial)):
+                    os.replace(os.path.join(partial, name), os.path.join(out, name))
+            return code
+        finally:
+            shutil.rmtree(partial, ignore_errors=True)
 
 
 def _build_parser():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, standardize
+from .panel import ReturnPanel, _frozen, standardize
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -153,7 +153,7 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     out = replace(
         r,
         assets=[a for a, k in zip(r.assets, keep) if k],
-        returns=kept / np.sqrt(res_var[keep])[:, None],
+        returns=_frozen(kept / np.sqrt(res_var[keep])[:, None]),
         standardized=True,
     )
     dropped = [a for a, k in zip(r.assets, keep) if not k]

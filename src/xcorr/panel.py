@@ -18,11 +18,28 @@ MEAN_TOL = 1e-10
 VAR_TOL = 1e-8
 
 
+def _frozen(arr):
+    """Mark an array the library has just computed read-only, so a panel takes it
+    without a copy; the caller must keep no writable alias of it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_matrix(values, name):
-    try:
-        arr = np.array(values, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name} has ragged rows or non-numeric entries: {exc}") from None
+    """The values as a read-only float array.
+
+    A read-only float64 ndarray that owns its data (as :func:`_frozen` leaves
+    one) is taken as it is: nothing else can write to it.  Anything else is
+    copied, keeping its memory layout, and the copy is frozen.
+    """
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and not values.flags.writeable and values.base is None):
+        arr = values
+    else:
+        try:
+            arr = np.array(values, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{name} has ragged rows or non-numeric entries: {exc}") from None
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -144,10 +161,9 @@ class ReturnPanel:
 
 def log_returns(p: PricePanel) -> ReturnPanel:
     """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset."""
-    returns = np.diff(np.log(p.prices), axis=1)
     return ReturnPanel(
         assets=p.assets,
-        returns=returns,
+        returns=_frozen(np.diff(np.log(p.prices), axis=1)),
         standardized=False,
         bars_per_day=p.bars_per_day,
         dt_seconds=p.dt_seconds,
@@ -155,13 +171,18 @@ def log_returns(p: PricePanel) -> ReturnPanel:
 
 
 def standardize(r: ReturnPanel) -> ReturnPanel:
-    """Shift/scale each row to mean 0, population variance 1 (divisor T)."""
-    means = r.returns.mean(axis=1, keepdims=True)
-    stds = r.returns.std(axis=1, keepdims=True)
+    """Shift/scale each row to mean 0, population variance 1 (divisor T).
+
+    The rows are centred once and scaled in place; the operations are those
+    of ``(x - x.mean(1)) / x.std(1)`` in the same order, so the bits agree.
+    """
+    d = r.returns - r.returns.mean(axis=1, keepdims=True)
+    stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / r.t_length)
     flat = np.flatnonzero(stds[:, 0] == 0)
     if flat.size:
         raise ValueError(f"cannot standardize zero-variance series {r.assets[flat[0]]!r}")
-    return replace(r, returns=(r.returns - means) / stds, standardized=True)
+    d /= stds
+    return replace(r, returns=_frozen(d), standardized=True)
 
 
 def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:
@@ -182,7 +203,7 @@ def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:
     blocks = r.returns[:, : t_new * factor].reshape(r.n_assets, t_new, factor)
     return replace(
         r,
-        returns=blocks.sum(axis=2),
+        returns=_frozen(blocks.sum(axis=2)),
         standardized=False,
         bars_per_day=r.bars_per_day // factor,
         dt_seconds=r.dt_seconds * factor,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, standardize
+from .panel import ReturnPanel, _frozen, standardize
 
 __all__ = [
     "KINDS",
@@ -74,7 +74,7 @@ def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
     for i in range(r.n_assets):
         offset = int(_row_rng(seed, i).integers(0, t // unit)) * unit
         rows[i] = np.roll(r.returns[i, :t], offset)
-    return replace(r, returns=rows, standardized=r.standardized and t == full)
+    return replace(r, returns=_frozen(rows), standardized=r.standardized and t == full)
 
 
 def rotate_free(r: ReturnPanel, seed) -> ReturnPanel:
@@ -103,7 +103,7 @@ def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
     for i, x in enumerate(r.returns):
         perm = _row_rng(seed, i).permutation(r.t_length)
         rows[i] = np.sign(x)[perm] * np.abs(x) if signs else np.sign(x) * np.abs(x)[perm]
-    return replace(r, returns=rows, standardized=False)
+    return replace(r, returns=_frozen(rows), standardized=False)
 
 
 def shuffle_signs(r: ReturnPanel, seed) -> ReturnPanel:
@@ -129,7 +129,10 @@ def _replace_rows(r: ReturnPanel, rows: np.ndarray, what: str) -> ReturnPanel:
     if not keep.any():
         raise ValueError(f"every asset has a constant {what} series")
     assets = [a for a, k in zip(r.assets, keep) if k]
-    return standardize(replace(r, assets=assets, returns=rows[keep], standardized=False))
+    # rows[keep] is C-ordered whatever the layout of rows; keeping every row
+    # must give the same layout, since standardize's row sums follow it.
+    kept = np.ascontiguousarray(rows) if keep.all() else rows[keep]
+    return standardize(replace(r, assets=assets, returns=_frozen(kept), standardized=False))
 
 
 def signs_only(r: ReturnPanel) -> ReturnPanel:

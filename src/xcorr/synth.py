@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, standardize
+from .panel import ReturnPanel, _frozen, standardize
 
 __all__ = [
     "MarketModel",
@@ -176,7 +176,7 @@ def generate(m: MarketModel) -> ReturnPanel:
 
     raw = ReturnPanel(
         assets=[f"SYN{k:03d}" for k in range(m.n_assets)],
-        returns=rows,
+        returns=_frozen(rows),
         standardized=False,
         bars_per_day=m.bars_per_day,
         dt_seconds=m.dt_seconds,

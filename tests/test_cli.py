@@ -638,6 +638,38 @@ class TestMainErrors:
         assert err["type"] == "ValueError"
         assert "--bars-per-day" in err["error"]
 
+    @pytest.mark.parametrize("source", ["panel flag", "panel config", "preset flag"])
+    def test_bars_per_day_set_by_the_input_is_an_error(self, panel_file, tmp_path, capsys,
+                                                       source):
+        # The panel header or the preset sets the bars per day; an explicit
+        # value would be ignored yet recorded in config.json and its hash.
+        argv = (["--preset", "one_factor"] if source == "preset flag"
+                else ["--input", panel_file])
+        if source == "panel config":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"bars_per_day": 5}))
+            argv += ["--config", str(cfg_path)]
+        else:
+            argv += ["--bars-per-day", "5"]
+        out = tmp_path / "out"
+        rc = main(["spectrum", *argv, "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--bars-per-day" in err["error"]
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_artifacts(self, panel_file, tmp_path, capsys, monkeypatch):
+        def broken_plot(*args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(xcorr.cli, "_write_plot", broken_plot)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in _stderr_json(capsys)["error"]
+        assert os.listdir(out) == []
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "out")])

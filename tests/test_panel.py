@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from xcorr.cli import ingest
+from xcorr.modes import eigensignals, remove_mode
 from xcorr.panel import PricePanel, ReturnPanel, coarsen, log_returns, standardize
+from xcorr.spectrum import correlation_matrix, eigendecompose
+from xcorr.surrogate import KINDS, SurrogateSpec, apply_surrogate
+from xcorr.synth import MarketModel, generate
 
 
 def price_panel(rows, bars_per_day=4, dt=300.0):
@@ -171,3 +175,61 @@ class TestPanelValidation:
     def test_single_point_series_rejected(self):
         with pytest.raises(ValueError):
             ReturnPanel(["A"], [[1.0]], False, 1, 60.0)
+
+
+class TestOwnership:
+    """A panel copies what a caller could still write to, and takes as-is the
+    frozen arrays the library computes."""
+
+    def test_writable_caller_array_is_copied(self):
+        rows = np.arange(12.0).reshape(3, 4)
+        r = ReturnPanel(["A", "B", "C"], rows, False, 4, 60.0)
+        rows[0, 0] = 99.0
+        assert r.returns[0, 0] == 0.0
+        assert rows.flags.writeable
+
+    def test_frozen_array_owning_its_data_is_taken_as_is(self):
+        rows = np.arange(12.0).reshape(3, 4).copy()
+        rows.setflags(write=False)
+        r = ReturnPanel(["A", "B", "C"], rows, False, 4, 60.0)
+        assert r.returns is rows
+
+    def test_read_only_view_is_copied(self):
+        base = np.arange(24.0).reshape(3, 8)
+        view = base[:, :4]
+        view.setflags(write=False)
+        r = ReturnPanel(["A", "B", "C"], view, False, 4, 60.0)
+        base[0, 0] = 99.0
+        assert r.returns[0, 0] == 0.0
+
+    def test_derived_panels_are_read_only(self, panel_4x64, prices_small_path):
+        s = eigendecompose(correlation_matrix(panel_4x64))
+        (z,) = eigensignals(panel_4x64, s, [1])
+        derived = [
+            standardize(panel_4x64),
+            coarsen(panel_4x64, 2),
+            log_returns(ingest(prices_small_path, "wide", bars_per_day=4)),
+            generate(MarketModel(n_assets=3, t_length=40, bars_per_day=4, seed=1)),
+            remove_mode(panel_4x64, z).panel,
+            *(apply_surrogate(panel_4x64, SurrogateSpec(kind=k, seed=5)) for k in KINDS),
+        ]
+        for d in derived:
+            assert not d.returns.flags.writeable
+
+    def test_coarsen_overflow_is_rejected(self):
+        r = ReturnPanel(["A", "B"], [[1e308, 1e308, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+                        False, 2, 60.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            coarsen(r, 2)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "window"])
+    def test_standardize_matches_formula_bitwise(self, layout):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((7, 503)) * rng.uniform(0.01, 50.0, (7, 1)) + 3.0
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "window":
+            x = x[:, 100:400]
+        r = ReturnPanel([f"A{i}" for i in range(7)], x, False, 1, 60.0)
+        expect = (x - x.mean(1, keepdims=True)) / x.std(1, keepdims=True)
+        assert np.array_equal(standardize(r).returns, expect)

@@ -399,8 +399,12 @@ def _reference_panels():
     raw[rng.random((4, 99)) < 0.2] = 0.0
     raw[3] = np.abs(raw[3]) + 0.1
     zero_returns = _panel(raw, bpd=7)
+    # F-ordered, as the panel CSV reader builds it from its bar-major rows.
+    bar_rows = rng.standard_normal((250, 6)).tolist()
+    f_ordered = standardize(_panel(np.array(bar_rows).T, bpd=20))
+    assert f_ordered.returns.flags.f_contiguous and not f_ordered.returns.flags.c_contiguous
     return {"partial_day": partial_day, "one_bar_days": one_bar_days,
-            "zero_returns": zero_returns}
+            "zero_returns": zero_returns, "f_ordered": f_ordered}
 
 
 def _run_recording(fn, *args):
@@ -410,7 +414,8 @@ def _run_recording(fn, *args):
     return out, [str(w.message) for w in caught]
 
 
-@pytest.mark.parametrize("panel_name", ["partial_day", "one_bar_days", "zero_returns"])
+@pytest.mark.parametrize("panel_name", ["partial_day", "one_bar_days", "zero_returns",
+                                        "f_ordered"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_surrogates_match_reference(kind, panel_name):
     p = _reference_panels()[panel_name]

@@ -40,6 +40,8 @@ __all__ = ["main", "run", "ingest", "export_panel"]
 PANEL_MAGIC = "xcorr-panel-v1"
 MISSING_DROP_FRACTION = 0.05
 MAX_Q_POINTS = 10_000
+_MAX_SCALES = 10_000
+_MAX_BINS = 10_000
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -118,12 +120,24 @@ def _read_panel_csv(path) -> ReturnPanel:
         raise ValueError(f"not a {PANEL_MAGIC} file: {path}")
     if header is None or not data:
         raise ValueError(f"panel file {path} has no data rows")
+    standardized = meta.get("standardized", "false")
+    if standardized not in ("true", "false"):
+        raise ValueError(
+            f"{path}: header 'standardized' must be true or false, got {standardized!r}"
+        )
+    bars_per_day = meta.get("bars_per_day", "1")
+    try:
+        bars_per_day = int(bars_per_day)
+    except ValueError:
+        raise ValueError(
+            f"{path}: header 'bars_per_day' must be an integer, got {bars_per_day!r}"
+        ) from None
     returns = np.array(data, dtype=float).T
     return ReturnPanel(
         assets=header[1:],
         returns=returns,
-        standardized=meta.get("standardized", "false") == "true",
-        bars_per_day=int(meta.get("bars_per_day", "1")),
+        standardized=standardized == "true",
+        bars_per_day=bars_per_day,
         dt_seconds=float(meta.get("dt_seconds", "60.0")),
     )
 
@@ -251,6 +265,8 @@ def ingest(path, format: str, bars_per_day: int = 78):
     """Read one input file: 'panel' -> ReturnPanel, 'wide'/'long' -> PricePanel."""
     if not os.path.exists(path):
         raise ValueError(f"input file not found: {path}")
+    if os.path.isdir(path):
+        raise ValueError(f"--input {path} is a directory, not a file")
     if format == "panel":
         return _read_panel_csv(path)
     if format == "wide":
@@ -316,11 +332,13 @@ def _effective_config(args) -> dict:
     cfg["subcommand"] = args.command
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 file_cfg = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"config file {args.config}: {e}") from None
+        except OSError as e:
+            raise ValueError(f"--config {args.config}: {e.strerror}") from None
+        except json.JSONDecodeError as e:
+            raise ValueError(f"config file {args.config}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
@@ -344,6 +362,12 @@ def _effective_config(args) -> dict:
                       ("bars_per_day", "--bars-per-day")):
         if cfg[key] < 1:
             raise ValueError(f"{flag} must be at least 1, got {cfg[key]!r}")
+    if cfg["bins"] > _MAX_BINS:
+        raise ValueError(f"--bins must be at most {_MAX_BINS}, got {cfg['bins']!r}")
+    if cfg["q_target"] is not None and not (np.isfinite(cfg["q_target"]) and cfg["q_target"] > 0):
+        raise ValueError(f"--q-target must be finite and positive, got {cfg['q_target']!r}")
+    if args.command == "mfdfa":
+        _mfdfa_config(cfg)  # a bad grid flag fails here, before --out is created
     explicit_bpd = "bars_per_day" in file_cfg or getattr(args, "bars_per_day", None) is not None
     if explicit_bpd and (cfg["preset"] or cfg["format"] == "panel"):
         source = "the preset" if cfg["preset"] else "the panel file header"
@@ -386,7 +410,11 @@ class _OutputDir:
         self.lock = os.path.join(path, ".xcorr-lock")
 
     def __enter__(self):
-        os.makedirs(self.path, exist_ok=True)
+        try:
+            os.makedirs(self.path, exist_ok=True)
+        except OSError as e:
+            raise ValueError(f"--out {self.path}: cannot create the output directory "
+                             f"({e.strerror})") from None
         try:
             fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -453,19 +481,32 @@ def _parse_factors(text) -> list:
 def _parse_scales(text):
     if text is None:
         return None
+    bad = f"--scales must be 'min:max:count' or a comma list, got {text!r}"
     if ":" in text:
         try:
-            lo, hi, count = text.split(":")
-            grid = np.unique(
-                np.rint(np.geomspace(int(lo), int(hi), int(count))).astype(int)
-            )
+            lo, hi, count = (int(x) for x in text.split(":"))
         except ValueError:
-            raise ValueError(f"--scales must be 'min:max:count' or a comma list, got {text!r}") from None
-        return grid
+            raise ValueError(bad) from None
+        if count > _MAX_SCALES:
+            raise ValueError(
+                f"--scales {text!r} asks for {count} scales; at most {_MAX_SCALES} are allowed"
+            )
+        try:
+            return np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
+        except ValueError:
+            raise ValueError(bad) from None
     try:
         return np.array(sorted({int(x) for x in text.split(",")}), dtype=int)
     except ValueError:
-        raise ValueError(f"--scales must be 'min:max:count' or a comma list, got {text!r}") from None
+        raise ValueError(bad) from None
+
+
+def _mfdfa_config(cfg) -> MfdfaConfig:
+    return MfdfaConfig(
+        q_grid=_parse_q_grid(cfg["q_grid"]),
+        detrend_order=int(cfg["detrend_order"]),
+        scale_grid=_parse_scales(cfg["scales"]),
+    )
 
 
 def _spectrum_payload(r: ReturnPanel):
@@ -482,20 +523,17 @@ def _spectrum_payload(r: ReturnPanel):
 def _run_spectrum(cfg, out, h):
     r = _load_panel(cfg)
     _, s, b, gamma = _spectrum_payload(r)
-    _write_json(
-        out,
-        "spectrum.json",
+    payload = s.to_dict()
+    payload.update(
         {
             "config_hash": h,
             "n_series": r.n_assets,
             "t_length": r.t_length,
-            "source_q": s.source_q,
-            "eigenvalues": s.eigenvalues.tolist(),
-            "eigenvectors_row_major": s.eigenvectors.tolist(),
             "mp": b.to_dict(),
             "overlap_fraction": gamma,
-        },
+        }
     )
+    _write_json(out, "spectrum.json", payload)
     ranks = np.arange(1, s.n_series + 1)
     _write_plot(out, "fig2a-analogue.txt", "fig2a-analogue", h,
                 ("rank", "eigenvalue"), ranks, s.eigenvalues)
@@ -591,11 +629,7 @@ def _run_mfdfa(cfg, out, h):
     r = _load_panel(cfg)
     _, s, _, _ = _spectrum_payload(r)
     n_modes = min(int(cfg["modes"]), s.n_series)
-    mf_cfg = MfdfaConfig(
-        q_grid=_parse_q_grid(cfg["q_grid"]),
-        detrend_order=int(cfg["detrend_order"]),
-        scale_grid=_parse_scales(cfg["scales"]),
-    )
+    mf_cfg = _mfdfa_config(cfg)
     per_mode = []
     spectra = []
     for z in eigensignals(r, s, range(1, n_modes + 1)):
@@ -766,8 +800,6 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         return run(args.command, cfg)
     except Exception as e:  # analysis errors -> machine-readable JSON on stderr
-        if isinstance(e, (KeyboardInterrupt, SystemExit)):
-            raise
         sys.stderr.write(json.dumps({"error": str(e), "type": type(e).__name__}) + "\n")
         return 1
 

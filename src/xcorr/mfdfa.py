@@ -52,17 +52,15 @@ def default_scales(n_length: int, min_scale: int = 16, n_scales: int = 20) -> np
 
 @dataclass
 class MfdfaConfig:
-    """Moment grid, detrending order, segment scales and the h(q) fit window.
+    """Moment grid, detrending order and segment scales.
 
     ``scale_grid`` may be None, in which case default_scales(len(series)) is
-    used at analysis time.  ``fit_range`` is an inclusive (lo, hi) interval in
-    scale units; None fits over every scale.
+    used at analysis time.  h(q) is fitted over every scale.
     """
 
     q_grid: np.ndarray = field(default_factory=default_q_grid)
     detrend_order: int = 2
     scale_grid: np.ndarray = None
-    fit_range: tuple = None
 
     def __post_init__(self):
         q = np.array(self.q_grid, dtype=float)
@@ -91,14 +89,11 @@ class MfdfaConfig:
                 )
             self.scale_grid = s
         self.q_grid = q
-        if self.fit_range is not None:
-            lo, hi = self.fit_range
-            if not lo < hi:
-                raise ValueError("fit_range must be an increasing (lo, hi) pair")
-            self.fit_range = (float(lo), float(hi))
 
     def resolved_scales(self, n_length: int) -> np.ndarray:
         scales = self.scale_grid if self.scale_grid is not None else default_scales(n_length)
+        if scales.size < 5:
+            raise ValueError(f"need at least 5 scales to fit h(q), got {scales.size}")
         if scales[-1] > n_length // 4:
             raise ValueError(
                 f"largest scale {scales[-1]} exceeds length/4 = {n_length // 4}; "
@@ -146,27 +141,29 @@ class FluctuationSurface:
 class SingularitySpectrum:
     """Sampled q, h(q), alpha(q), f(alpha(q)) with the spectrum width.
 
-    ``alpha_monotone`` and ``f_within_bound`` record whether alpha was
-    non-increasing in q and f stayed at or below 1, each within tolerance.
-    An exact Legendre spectrum satisfies both; small violations are fit noise
-    (a locally rising h(q) estimate), reported as warnings rather than errors
-    so noisy series still produce a usable diagnostic result.
+    ``width`` is max(alpha) - min(alpha).  ``alpha_monotone`` and
+    ``f_within_bound`` record whether alpha was non-increasing in q and f
+    stayed at or below 1, each within tolerance.  An exact Legendre spectrum
+    satisfies both; small violations are fit noise (a locally rising h(q)
+    estimate), reported as warnings rather than errors so noisy series still
+    produce a usable diagnostic result.  All three are derived from alpha and f.
     """
 
     q: np.ndarray
     h: np.ndarray
     alpha: np.ndarray
     f: np.ndarray
-    width: float
-    alpha_monotone: bool = True
-    f_within_bound: bool = True
+    width: float = field(init=False)
+    alpha_monotone: bool = field(init=False)
+    f_within_bound: bool = field(init=False)
 
     def __post_init__(self):
         n = len(self.q)
         if not (len(self.h) == len(self.alpha) == len(self.f) == n):
             raise ValueError("q, h, alpha, f must have equal length")
-        if abs(self.width - (self.alpha.max() - self.alpha.min())) > 1e-12:
-            raise ValueError("width must equal max(alpha) - min(alpha)")
+        self.width = float(self.alpha.max() - self.alpha.min())
+        self.alpha_monotone = bool((np.diff(self.alpha) <= ALPHA_TOL).all())
+        self.f_within_bound = bool((self.f <= 1.0 + F_TOL).all())
 
     def to_dict(self):
         return {
@@ -217,28 +214,18 @@ def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     bwd = y[y.size - m * n :].reshape(m, n)
     segments = np.vstack([fwd, bwd])
 
-    # Detrend on centered coordinates for conditioning at large n.
-    t = np.linspace(-1.0, 1.0, n)
-    design = np.vander(t, l + 1, increasing=True)
-    coef, _, _, _ = np.linalg.lstsq(design, segments.T, rcond=None)
-    resid = segments - (design @ coef).T
+    # Orthonormal basis of the order-l polynomials on centered coordinates
+    # (conditioned at large n); the trend is each segment's projection on it.
+    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True))
+    resid = segments - (segments @ basis) @ basis.T
     return (resid**2).mean(axis=1)
 
 
-def fluctuation(variances, q: float) -> float:
-    """q-th order fluctuation function of one scale's segment variances.
+def fluctuation(variances, q_grid) -> np.ndarray:
+    """F_q of one scale's segment variances for every q of the grid.
 
     The generalized mean {(1/2M) sum [F^2]^(q/2)}^(1/q); at q = 0 the
     logarithmic-mean limit exp{(1/4M) sum ln F^2} is used.
-    """
-    return float(_fluctuations(variances, [q])[0])
-
-
-def _fluctuations(variances, q_grid) -> np.ndarray:
-    """F_q of one scale's segment variances for every q of the grid.
-
-    The variances are checked once for the whole grid; each q then uses the
-    same scalar generalized mean as fluctuation().
     """
     v = np.asarray(variances, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -247,18 +234,19 @@ def _fluctuations(variances, q_grid) -> np.ndarray:
         raise ValueError("variances must be non-negative")
     if not (v > 0).any():
         raise ValueError("all segment variances are zero")
-    q_grid = [float(q) for q in q_grid]
-    if min(q_grid) <= 0 and (v == 0).any():
+    q = np.asarray(q_grid, dtype=float)
+    if q.ndim != 1 or q.size == 0:
+        raise ValueError("q_grid must be a non-empty 1-D array")
+    if q.min() <= 0 and (v == 0).any():
         raise ValueError(
             "zero segment variance makes the q <= 0 moment diverge; "
             "raise the minimum scale so every segment has signal"
         )
-    out = np.empty(len(q_grid))
-    for i, q in enumerate(q_grid):
-        if q == 0:
-            out[i] = np.exp(0.5 * np.mean(np.log(v)))
-        else:
-            out[i] = np.mean(v ** (q / 2.0)) ** (1.0 / q)
+    zero = q == 0
+    p = np.where(zero, 1.0, q)
+    out = np.mean(v ** (p[:, None] / 2.0), axis=1) ** (1.0 / p)
+    if zero.any():
+        out[zero] = np.exp(0.5 * np.mean(np.log(v)))
     return out
 
 
@@ -269,41 +257,27 @@ def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
     x = np.asarray(x, dtype=float)
     scales = cfg.resolved_scales(x.size)
     y = profile(x)
-    values = np.empty((cfg.q_grid.size, scales.size))
-    for j, n in enumerate(scales):
-        values[:, j] = _fluctuations(segment_variances(y, int(n), cfg.detrend_order), cfg.q_grid)
+    values = np.column_stack(
+        [fluctuation(segment_variances(y, int(n), cfg.detrend_order), cfg.q_grid) for n in scales]
+    )
     return FluctuationSurface(q_grid=cfg.q_grid.copy(), scales=scales.copy(), values=values)
 
 
-def hurst_exponents(surface: FluctuationSurface, cfg: MfdfaConfig = None) -> np.ndarray:
-    """Per-q slope of ln F_q(n) vs ln n over the fit range; fills surface.h.
+def hurst_exponents(surface: FluctuationSurface) -> np.ndarray:
+    """Slope of ln F_q(n) vs ln n over every scale, for every q; fills surface.h.
 
     The RMS of the fit residuals is stored alongside as a scaling-quality
     diagnostic: large values mean F_q(n) is not a clean power law there.
     """
-    if cfg is None:
-        cfg = MfdfaConfig()
-    scales = surface.scales
-    if cfg.fit_range is None:
-        mask = np.ones(scales.size, dtype=bool)
-    else:
-        lo, hi = cfg.fit_range
-        mask = (scales >= lo) & (scales <= hi)
-    if mask.sum() < 5:
-        raise ValueError("fit range must contain at least 5 scales")
     if not np.isfinite(surface.values).all():
         raise ValueError("fluctuation surface contains non-finite entries")
-    ln_n = np.log(scales[mask].astype(float))
-    h = np.empty(surface.q_grid.size)
-    resid = np.empty(surface.q_grid.size)
-    for i in range(surface.q_grid.size):
-        ln_f = np.log(surface.values[i, mask])
-        slope, intercept = np.polyfit(ln_n, ln_f, 1)
-        h[i] = slope
-        resid[i] = np.sqrt(np.mean((ln_f - (slope * ln_n + intercept)) ** 2))
-    surface.h = h
-    surface.fit_residual = resid
-    return h
+    ln_n = np.log(surface.scales.astype(float))
+    design = np.column_stack([ln_n, np.ones_like(ln_n)])
+    ln_f = np.log(surface.values).T
+    coef, _, _, _ = np.linalg.lstsq(design, ln_f, rcond=None)
+    surface.h = coef[0]
+    surface.fit_residual = np.sqrt(np.mean((ln_f - design @ coef) ** 2, axis=0))
+    return surface.h
 
 
 def singularity_spectrum(h, q_grid) -> SingularitySpectrum:
@@ -320,27 +294,18 @@ def singularity_spectrum(h, q_grid) -> SingularitySpectrum:
     dh = np.gradient(h, q)
     alpha = h + q * dh
     f = q * (alpha - h) + 1.0
-    monotone = bool((np.diff(alpha) <= ALPHA_TOL).all())
-    if not monotone:
+    spec = SingularitySpectrum(q=q.copy(), h=h.copy(), alpha=alpha, f=f)
+    if not spec.alpha_monotone:
         warnings.warn(
             "alpha(q) is not monotone non-increasing; the h(q) fit is noisy "
             "in part of the q range"
         )
-    f_ok = bool((f <= 1.0 + F_TOL).all())
-    if not f_ok:
+    if not spec.f_within_bound:
         warnings.warn(
             f"f(alpha) exceeds 1 by up to {f.max() - 1.0:.2e}; the h(q) fit "
             "rises with q somewhere (fit noise)"
         )
-    return SingularitySpectrum(
-        q=q.copy(),
-        h=h.copy(),
-        alpha=alpha,
-        f=f,
-        width=float(alpha.max() - alpha.min()),
-        alpha_monotone=monotone,
-        f_within_bound=f_ok,
-    )
+    return spec
 
 
 def analyze(x, cfg: MfdfaConfig = None):
@@ -348,7 +313,7 @@ def analyze(x, cfg: MfdfaConfig = None):
     if cfg is None:
         cfg = MfdfaConfig()
     surface = fluctuation_surface(x, cfg)
-    h = hurst_exponents(surface, cfg)
+    h = hurst_exponents(surface)
     return surface, singularity_spectrum(h, cfg.q_grid)
 
 
@@ -369,15 +334,7 @@ def average_spectra(spectra) -> SingularitySpectrum:
     h = np.mean([s.h for s in spectra], axis=0)
     alpha = np.mean([s.alpha for s in spectra], axis=0)
     f = np.mean([s.f for s in spectra], axis=0)
-    return SingularitySpectrum(
-        q=q.copy(),
-        h=h,
-        alpha=alpha,
-        f=f,
-        width=float(alpha.max() - alpha.min()),
-        alpha_monotone=bool((np.diff(alpha) <= ALPHA_TOL).all()),
-        f_within_bound=bool((f <= 1.0 + F_TOL).all()),
-    )
+    return SingularitySpectrum(q=q.copy(), h=h, alpha=alpha, f=f)
 
 
 def binomial_cascade(p: float, n_levels: int) -> np.ndarray:

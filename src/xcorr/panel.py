@@ -150,14 +150,6 @@ class ReturnPanel:
     def t_length(self):
         return self.returns.shape[1]
 
-    def row(self, i):
-        """Read-only view of series i."""
-        return self.returns[i]
-
-    def column(self, j):
-        """Read-only view of the cross-section at bar j."""
-        return self.returns[:, j]
-
 
 def log_returns(p: PricePanel) -> ReturnPanel:
     """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset."""

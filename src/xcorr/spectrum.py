@@ -62,13 +62,6 @@ class CorrelationMatrix:
         """Aspect ratio Q = T/N of the underlying data matrix."""
         return self.t_length / self.n_series
 
-    def to_dict(self):
-        return {
-            "n_series": self.n_series,
-            "t_length": self.t_length,
-            "values_row_major": self.values.tolist(),
-        }
-
 
 @dataclass
 class EigenSpectrum:

@@ -79,6 +79,20 @@ class TestPanelRoundTrip:
         with pytest.raises(ValueError, match="duplicate asset name 'A'"):
             ingest(str(path), "panel")
 
+    @pytest.mark.parametrize("key, value", [
+        ("bars_per_day", "ten"),
+        ("bars_per_day", "2.5"),
+        ("standardized", "yes"),
+        ("standardized", "True"),
+    ])
+    def test_bad_header_value_names_file_and_key(self, tmp_path, key, value):
+        path = tmp_path / "header.csv"
+        path.write_text(f"# xcorr-panel-v1\n# {key}: {value}\nbar,A\n0,1.0\n1,2.0\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(str(path), "panel")
+        assert str(path) in str(exc.value) and key in str(exc.value)
+        assert repr(value) in str(exc.value)
+
     def test_empty_panel_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# xcorr-panel-v1\nbar,A\n")
@@ -440,6 +454,14 @@ class TestMainMfdfa:
         assert err["type"] == "ValueError"
         assert "--q-grid" in err["error"]
 
+    def test_huge_detrend_order_is_an_error(self, long_panel_file, tmp_path, capsys):
+        rc = main(["mfdfa", "--input", long_panel_file, "--detrend-order", "1000000000",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "under-determined" in err["error"]
+
     def test_zero_modes_is_an_error(self, long_panel_file, tmp_path, capsys):
         rc = main(["mfdfa", "--input", long_panel_file, "--modes", "0",
                    "--out", str(tmp_path / "out")])
@@ -669,6 +691,45 @@ class TestMainErrors:
         assert rc == 1
         assert "disk full" in _stderr_json(capsys)["error"]
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["mfdfa", "--scales", "16:400:100000000000"], "--scales"),
+        (["elements", "--bins", "100000000000"], "--bins"),
+        (["elements", "--q-target", "inf"], "--q-target"),
+    ])
+    def test_out_of_range_number_is_an_error(self, panel_file, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", panel_file, "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert flag in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, target", [
+        ("--config", "missing"),
+        ("--config", "dir"),
+        ("--input", "dir"),
+        ("--out", "file"),
+    ])
+    def test_unusable_path_is_an_error(self, panel_file, tmp_path, capsys, flag, target):
+        path = tmp_path / target
+        if target == "dir":
+            path.mkdir()
+        elif target == "file":
+            path.write_text("keep")
+        out = tmp_path / "out"
+        argv = {"--config": ["--input", panel_file, "--config", str(path), "--out", str(out)],
+                "--input": ["--input", str(path), "--out", str(out)],
+                "--out": ["--input", panel_file, "--out", str(path)]}[flag]
+        rc = main(["spectrum", *argv])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert flag in err["error"] and str(path) in err["error"]
+        assert not out.exists() or os.listdir(out) == []
+        if target == "file":
+            assert path.read_text() == "keep"
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--input", str(tmp_path / "nope.csv"),

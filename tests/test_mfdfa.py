@@ -19,6 +19,9 @@ from xcorr.mfdfa import (
     segment_variances,
     singularity_spectrum,
 )
+from xcorr.modes import eigensignals
+from xcorr.spectrum import correlation_matrix, eigendecompose
+from xcorr.synth import generate, preset
 
 
 def _white_noise(t=8000, seed=55):
@@ -111,35 +114,39 @@ class TestFluctuation:
     def test_equal_variances_give_their_root_for_all_q(self):
         v = [2.25, 2.25, 2.25, 2.25]
         for q in (-4.0, -1.0, 0.0, 1.0, 2.0, 4.0):
-            assert abs(fluctuation(v, q) - 1.5) < 1e-12
+            assert abs(fluctuation(v, [q])[0] - 1.5) < 1e-12
 
     def test_q_two_is_root_mean_square(self):
         v = np.array([1.0, 2.0, 3.0, 4.0])
-        assert abs(fluctuation(v, 2.0) - math.sqrt(v.mean())) < 1e-12
+        assert abs(fluctuation(v, [2.0])[0] - math.sqrt(v.mean())) < 1e-12
 
     def test_frozen_two_segment_values(self):
         v = [1.0, 4.0]
-        assert abs(fluctuation(v, -2.0) - 1.2649110640673518) < 1e-12
-        assert abs(fluctuation(v, 0.0) - 1.414213562373095) < 1e-12
-        assert abs(fluctuation(v, 2.0) - 1.5811388300841898) < 1e-12
+        assert abs(fluctuation(v, [-2.0])[0] - 1.2649110640673518) < 1e-12
+        assert abs(fluctuation(v, [0.0])[0] - 1.414213562373095) < 1e-12
+        assert abs(fluctuation(v, [2.0])[0] - 1.5811388300841898) < 1e-12
 
     def test_monotone_in_q(self):
         v = [1.0, 4.0]
-        assert fluctuation(v, -2.0) < fluctuation(v, 0.0) < fluctuation(v, 2.0)
+        assert fluctuation(v, [-2.0])[0] < fluctuation(v, [0.0])[0] < fluctuation(v, [2.0])[0]
 
     def test_zero_variance_diverges_for_nonpositive_q(self):
         with pytest.raises(ValueError, match="raise the minimum scale"):
-            fluctuation([0.0, 1.0], -1.0)
+            fluctuation([0.0, 1.0], [-1.0])
         with pytest.raises(ValueError, match="raise the minimum scale"):
-            fluctuation([0.0, 1.0], 0.0)
+            fluctuation([0.0, 1.0], [0.0])
 
     def test_all_zero_variances_rejected(self):
         with pytest.raises(ValueError, match="all segment variances are zero"):
-            fluctuation([0.0, 0.0], 2.0)
+            fluctuation([0.0, 0.0], [2.0])
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            fluctuation([-1.0, 1.0], 2.0)
+            fluctuation([-1.0, 1.0], [2.0])
+
+    def test_scalar_q_rejected(self):
+        with pytest.raises(ValueError, match="q_grid"):
+            fluctuation([1.0, 4.0], 2.0)
 
 
 class TestConfig:
@@ -175,6 +182,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="length/4"):
             cfg.resolved_scales(1000)
 
+    def test_resolved_scales_needs_five_scales(self):
+        cfg = MfdfaConfig(scale_grid=np.array([16, 32, 64, 128]))
+        with pytest.raises(ValueError, match="at least 5 scales"):
+            cfg.resolved_scales(4000)
+        with pytest.raises(ValueError, match="at least 5 scales"):
+            analyze(_white_noise(4000), cfg)
+
     def test_short_series_has_no_default_scales(self):
         with pytest.raises(ValueError, match="too short"):
             default_scales(300)
@@ -186,14 +200,14 @@ class TestHurstExponents:
         q = default_q_grid()
         values = np.tile(scales.astype(float) ** 0.7, (q.size, 1))
         surf = FluctuationSurface(q_grid=q, scales=scales, values=values)
-        h = hurst_exponents(surf, MfdfaConfig())
+        h = hurst_exponents(surf)
         assert np.abs(h - 0.7).max() < 1e-10
         assert surf.fit_residual.max() < 1e-10
 
     def test_amplitude_rescaling_leaves_h_unchanged(self):
         x = _white_noise(4000)
-        h1 = hurst_exponents(fluctuation_surface(x), MfdfaConfig())
-        h2 = hurst_exponents(fluctuation_surface(3.7 * x), MfdfaConfig())
+        h1 = hurst_exponents(fluctuation_surface(x))
+        h2 = hurst_exponents(fluctuation_surface(3.7 * x))
         assert np.abs(h1 - h2).max() < 1e-10
 
     def test_white_noise_h2_near_half(self):
@@ -207,12 +221,6 @@ class TestHurstExponents:
         sb, _ = analyze(x[::-1].copy())
         i = int(np.argmin(np.abs(sf.q_grid - 2.0)))
         assert abs(sf.h[i] - sb.h[i]) < 0.02
-
-    def test_fit_range_needs_five_scales(self):
-        surf = fluctuation_surface(_white_noise(4000))
-        cfg = MfdfaConfig(fit_range=(16.0, 25.0))
-        with pytest.raises(ValueError, match="at least 5 scales"):
-            hurst_exponents(surf, cfg)
 
 
 class TestSingularitySpectrum:
@@ -246,10 +254,23 @@ class TestSingularitySpectrum:
         with pytest.raises(ValueError, match="equal length"):
             singularity_spectrum(np.zeros(4), np.arange(5.0))
 
-    def test_width_consistency_enforced(self):
+    def test_derived_fields(self):
         q = np.arange(5.0)
-        with pytest.raises(ValueError, match="width"):
-            SingularitySpectrum(q=q, h=q, alpha=q, f=q, width=99.0)
+        ok = SingularitySpectrum(q=q, h=q, alpha=np.array([0.9, 0.8, 0.6, 0.5, 0.2]),
+                                 f=np.array([0.5, 0.9, 1.0, 0.9, 0.4]))
+        assert ok.width == 0.9 - 0.2
+        assert ok.alpha_monotone and ok.f_within_bound
+        bad = SingularitySpectrum(q=q, h=q, alpha=np.array([0.9, 0.8, 0.8 + 2e-6, 0.5, 0.2]),
+                                  f=np.array([0.5, 0.9, 1.0 + 2e-6, 0.9, 0.4]))
+        assert not bad.alpha_monotone and not bad.f_within_bound
+        edge = SingularitySpectrum(q=q, h=q, alpha=np.array([0.9, 0.8, 0.8 + 5e-7, 0.5, 0.2]),
+                                   f=np.array([0.5, 0.9, 1.0 + 5e-7, 0.9, 0.4]))
+        assert edge.alpha_monotone and edge.f_within_bound
+
+    def test_derived_fields_are_not_arguments(self):
+        q = np.arange(5.0)
+        with pytest.raises(TypeError):
+            SingularitySpectrum(q=q, h=q, alpha=q, f=q, width=4.0)
 
 
 class TestCascadeBenchmark:
@@ -342,3 +363,72 @@ class TestSurfaceValidation:
     def test_surface_is_nondecreasing_in_q(self):
         surf = fluctuation_surface(_white_noise(4000))
         assert (np.diff(surf.values, axis=0) >= -1e-9 * surf.values[:-1]).all()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-segment lstsq, scalar-q and per-q polyfit implementation
+# that the array expressions replaced.  The arithmetic order differs, so the
+# comparison uses tolerances at rounding level for float64.
+# ---------------------------------------------------------------------------
+
+def _reference_segment_variances(y, n, l):
+    m = y.size // n
+    segments = np.vstack([y[: m * n].reshape(m, n), y[y.size - m * n :].reshape(m, n)])
+    design = np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True)
+    coef, _, _, _ = np.linalg.lstsq(design, segments.T, rcond=None)
+    resid = segments - (design @ coef).T
+    return (resid**2).mean(axis=1)
+
+
+def _reference_fluctuations(v, q_grid):
+    out = np.empty(len(q_grid))
+    for i, q in enumerate(float(q) for q in q_grid):
+        if q == 0:
+            out[i] = np.exp(0.5 * np.mean(np.log(v)))
+        else:
+            out[i] = np.mean(v ** (q / 2.0)) ** (1.0 / q)
+    return out
+
+
+def _reference_surface(x, cfg):
+    scales = cfg.resolved_scales(x.size)
+    y = profile(x)
+    values = np.empty((cfg.q_grid.size, scales.size))
+    for j, n in enumerate(scales):
+        values[:, j] = _reference_fluctuations(
+            _reference_segment_variances(y, int(n), cfg.detrend_order), cfg.q_grid
+        )
+    ln_n = np.log(scales.astype(float))
+    h = np.empty(cfg.q_grid.size)
+    resid = np.empty(cfg.q_grid.size)
+    for i in range(cfg.q_grid.size):
+        ln_f = np.log(values[i])
+        slope, intercept = np.polyfit(ln_n, ln_f, 1)
+        h[i] = slope
+        resid[i] = np.sqrt(np.mean((ln_f - (slope * ln_n + intercept)) ** 2))
+    return values, h, resid
+
+
+def _vol_clustered_eigensignal():
+    model = preset("one_factor", seed=4, n_assets=20, t_length=8000, vol_clustering=(0.97, 0.2))
+    r = generate(model)
+    s = eigendecompose(correlation_matrix(r))
+    return eigensignals(r, s, [1])[0].series
+
+
+REFERENCE_SERIES = {
+    "white_noise": lambda: _white_noise(8000),
+    "vol_clustered_eigensignal": _vol_clustered_eigensignal,
+    "binomial_cascade": lambda: binomial_cascade(0.3, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SERIES))
+@pytest.mark.parametrize("cfg", [MfdfaConfig(), MfdfaConfig(detrend_order=3)], ids=["l2", "l3"])
+def test_mfdfa_matches_reference(name, cfg):
+    x = REFERENCE_SERIES[name]()
+    values, h, resid = _reference_surface(x, cfg)
+    surf, _ = analyze(x, cfg)
+    assert np.allclose(surf.values, values, rtol=1e-9, atol=0.0)
+    assert np.abs(surf.h - h).max() < 1e-10
+    assert np.abs(surf.fit_residual - resid).max() < 1e-10

@@ -158,12 +158,6 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="A0"):
             ReturnPanel(["A0"], [[5.0, 6.0, 7.0]], True, 1, 60.0)
 
-    def test_row_and_column_views(self, panel_3x16):
-        row = panel_3x16.row(1)
-        col = panel_3x16.column(2)
-        assert row.shape == (16,) and col.shape == (3,)
-        assert not row.flags.writeable and not col.flags.writeable
-
     def test_returns_read_only(self, panel_3x16):
         with pytest.raises(ValueError):
             panel_3x16.returns[0, 0] = 99.0

@@ -68,12 +68,9 @@ class TestCorrelationMatrix:
         c = correlation_matrix(panel_4x64)
         assert (np.diag(c.values) == 1.0).all()
 
-    def test_q_property_and_to_dict(self, panel_4x64):
+    def test_q_property(self, panel_4x64):
         c = correlation_matrix(panel_4x64)
         assert c.q == 64 / 4
-        d = c.to_dict()
-        assert d["n_series"] == 4 and d["t_length"] == 64
-        assert np.allclose(np.array(d["values_row_major"]), c.values)
 
     def test_rejects_asymmetric_matrix(self):
         v = np.eye(3)

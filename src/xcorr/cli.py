@@ -42,6 +42,7 @@ MISSING_DROP_FRACTION = 0.05
 MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
 _MAX_BINS = 10_000
+_EXPORT_BLOCK = 1024
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -62,6 +63,8 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
 
     Values are written with repr() so a read back is bit-identical.  Layout:
     comment header lines, then `bar,<asset>,...` and one row per time index.
+    Rows are formatted in blocks of _EXPORT_BLOCK bars, so only one block of
+    Python floats exists at a time.
     """
     with open(path, "w", newline="") as fh:
         fh.write(f"# {PANEL_MAGIC}\n")
@@ -71,9 +74,10 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
         for line in extra_comments:
             fh.write(f"# {line}\n")
         fh.write("bar," + ",".join(str(a) for a in r.assets) + "\n")
-        cols = r.returns.T
-        for j in range(r.t_length):
-            fh.write(str(j) + "," + ",".join(repr(float(x)) for x in cols[j]) + "\n")
+        for s in range(0, r.t_length, _EXPORT_BLOCK):
+            rows = r.returns[:, s:s + _EXPORT_BLOCK].T.tolist()
+            fh.writelines(f"{j},{','.join(map(repr, row))}\n"
+                          for j, row in enumerate(rows, start=s))
 
 
 def _check_unique(assets, where):
@@ -84,13 +88,32 @@ def _check_unique(assets, where):
         seen.add(a)
 
 
+def _parse_panel_rows(lines, n_fields):
+    """The value columns of panel data lines, one array row per line.
+
+    numpy's parser rounds correctly, so every value written with repr() reads
+    back bit-identical; the bar column is not parsed.
+    """
+    return np.loadtxt(lines, delimiter=",", usecols=range(1, n_fields),
+                      comments=None, ndmin=2)
+
+
+def _header_number(path, meta, key, default, kind):
+    text = meta.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{path}: header {key!r} must be {what}, got {text!r}") from None
+
+
 def _read_panel_csv(path) -> ReturnPanel:
     meta = {}
     header = None
-    data = []
+    lines, linenos = [], []
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
+            line = raw.rstrip("\r\n")
             if not line.strip():
                 continue
             if line.startswith("#"):
@@ -101,44 +124,46 @@ def _read_panel_csv(path) -> ReturnPanel:
                 elif header is None and not meta:
                     meta["magic"] = body
                 continue
-            fields = line.split(",")
             if header is None:
-                header = fields
+                header = line.split(",")
                 if header[0] != "bar" or len(header) < 2:
                     raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
                 _check_unique(header[1:], f"line {lineno}")
+                commas = len(header) - 1
                 continue
-            if len(fields) != len(header):
+            if line.count(",") != commas:
                 raise ValueError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
+                    f"line {lineno}: expected {len(header)} fields, got {line.count(',') + 1}"
                 )
-            try:
-                data.append([float(x) for x in fields[1:]])
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable value in panel file") from None
+            lines.append(line)
+            linenos.append(lineno)
     if meta.get("magic") != PANEL_MAGIC:
         raise ValueError(f"not a {PANEL_MAGIC} file: {path}")
-    if header is None or not data:
+    if header is None or not lines:
         raise ValueError(f"panel file {path} has no data rows")
     standardized = meta.get("standardized", "false")
     if standardized not in ("true", "false"):
         raise ValueError(
             f"{path}: header 'standardized' must be true or false, got {standardized!r}"
         )
-    bars_per_day = meta.get("bars_per_day", "1")
+    bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
+    dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
     try:
-        bars_per_day = int(bars_per_day)
+        values = _parse_panel_rows(lines, len(header))
     except ValueError:
-        raise ValueError(
-            f"{path}: header 'bars_per_day' must be an integer, got {bars_per_day!r}"
-        ) from None
-    returns = np.array(data, dtype=float).T
+        # Find the first bad line with the same parser, one line at a time.
+        for line, lineno in zip(lines, linenos):
+            try:
+                _parse_panel_rows([line], len(header))
+            except ValueError:
+                raise ValueError(f"line {lineno}: unparseable value in panel file") from None
+        raise
     return ReturnPanel(
         assets=header[1:],
-        returns=returns,
+        returns=values.T,
         standardized=standardized == "true",
         bars_per_day=bars_per_day,
-        dt_seconds=float(meta.get("dt_seconds", "60.0")),
+        dt_seconds=dt_seconds,
     )
 
 
@@ -176,6 +201,8 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
                         f"line {lineno}: unparseable price {f!r} for {a}"
                     ) from None
             rows.append(vals)
+    if not rows:
+        raise ValueError(f"no data rows in {path}")
     prices = np.array(rows, dtype=float).T
     prices, assets = _fill_missing(prices, assets)
     return PricePanel(
@@ -249,10 +276,9 @@ def _fill_missing(prices, assets):
             continue
         if np.isnan(prices[i, 0]):
             raise ValueError(f"asset {name} has no price at the first bar; cannot forward-fill")
-        row = prices[i]
-        for j in range(1, n_bars):
-            if np.isnan(row[j]):
-                row[j] = row[j - 1]
+        # Each bar takes the price at the last bar up to it that has one.
+        last = np.maximum.accumulate(np.where(np.isnan(prices[i]), 0, np.arange(n_bars)))
+        prices[i] = prices[i, last]
         warnings.warn(f"asset {name}: forward-filled {missing} missing bar(s)")
         keep.append(i)
         kept_names.append(name)

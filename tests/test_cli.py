@@ -1,8 +1,13 @@
 import json
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import xcorr.cli
 import xcorr.modes
@@ -30,6 +35,40 @@ def _stderr_json(capsys):
     return json.loads(err)
 
 
+def _reference_export(r, path, extra_comments=()):
+    """The value-at-a-time panel writer export_panel must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# xcorr-panel-v1\n")
+        fh.write(f"# standardized: {'true' if r.standardized else 'false'}\n")
+        fh.write(f"# bars_per_day: {r.bars_per_day}\n")
+        fh.write(f"# dt_seconds: {float(r.dt_seconds)!r}\n")
+        for line in extra_comments:
+            fh.write(f"# {line}\n")
+        fh.write("bar," + ",".join(str(a) for a in r.assets) + "\n")
+        cols = r.returns.T
+        for j in range(r.t_length):
+            fh.write(str(j) + "," + ",".join(repr(float(x)) for x in cols[j]) + "\n")
+
+
+def _reference_forward_fill(row):
+    row = row.copy()
+    for j in range(1, row.size):
+        if np.isnan(row[j]):
+            row[j] = row[j - 1]
+    return row
+
+
+EDGE_ROWS = np.array([
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308],
+    [0.1 + 0.2, 1 / 3, -3.7e300, 1e-17, 123456789.12345679],
+])
+
+
+def _panel(rows, bars_per_day=1):
+    return ReturnPanel(assets=[f"S{i}" for i in range(len(rows))], returns=rows,
+                       standardized=False, bars_per_day=bars_per_day, dt_seconds=30.0)
+
+
 class TestPanelRoundTrip:
     def test_bit_identical_round_trip(self, panel_file, panel_4x64):
         back = ingest(panel_file, "panel")
@@ -41,13 +80,49 @@ class TestPanelRoundTrip:
         assert back.dt_seconds == 60.0
 
     def test_awkward_floats_survive(self, tmp_path):
-        rows = np.array([[0.1 + 0.2, 1e-17, -3.7e300, 5.0], [1.0, 2.0, 3.0, 4.0]])
-        p = ReturnPanel(assets=["X", "Y"], returns=rows, standardized=False,
-                        bars_per_day=2, dt_seconds=30.0)
         path = tmp_path / "odd.csv"
-        export_panel(p, path)
+        export_panel(_panel(EDGE_ROWS), path)
         back = ingest(str(path), "panel")
-        assert np.array_equal(back.returns, rows)
+        assert np.array_equal(back.returns, EDGE_ROWS)
+        assert np.array_equal(np.signbit(back.returns), np.signbit(EDGE_ROWS))
+        assert back.returns.tobytes() == EDGE_ROWS.tobytes()
+
+    @pytest.mark.parametrize("t_length", [64, 1023, 1024, 1025, 2500])
+    def test_bytes_match_reference_writer(self, tmp_path, t_length):
+        rng = np.random.default_rng(t_length)
+        rows = rng.standard_normal((3, t_length)) * 10.0 ** rng.integers(-300, 300, (3, t_length))
+        rows[:2, :5] = EDGE_ROWS
+        p = _panel(rows, bars_per_day=t_length)
+        export_panel(p, tmp_path / "new.csv", extra_comments=["config_hash: abc"])
+        _reference_export(p, tmp_path / "ref.csv", extra_comments=["config_hash: abc"])
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "ref.csv")
+
+    def test_read_back_is_f_contiguous(self, panel_file):
+        # standardize's row sums depend on the memory layout; artifacts made
+        # from a panel file stay byte-identical only while a read is F-ordered.
+        back = ingest(panel_file, "panel")
+        assert back.returns.flags.f_contiguous and not back.returns.flags.c_contiguous
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(arrays(np.float64,
+                  st.tuples(st.integers(1, 4), st.integers(2, 12)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_property(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "prop.csv")
+            export_panel(_panel(rows), path)
+            back = ingest(path, "panel")
+        assert back.returns.tobytes() == rows.tobytes()
+        assert back.returns.flags.f_contiguous
+
+    def test_crlf_file_reads_the_same(self, panel_file, tmp_path):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(_read(panel_file).replace(b"\n", b"\r\n"))
+        want = ingest(panel_file, "panel")
+        back = ingest(str(crlf), "panel")
+        assert back.assets == want.assets == ["A", "B", "C", "D"]
+        assert back.returns.tobytes() == want.returns.tobytes()
+        assert (back.standardized, back.bars_per_day, back.dt_seconds) == (True, 8, 60.0)
 
     def test_extra_comments_are_ignored(self, tmp_path, panel_4x64):
         path = tmp_path / "extra.csv"
@@ -73,6 +148,27 @@ class TestPanelRoundTrip:
         with pytest.raises(ValueError, match="line 4"):
             ingest(str(path), "panel")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "", "0x10"])
+    def test_token_numpy_rejects_names_line(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# xcorr-panel-v1\nbar,A,B\n0,1.0,2.0\n1,3.0,{token}\n2,1.5,2.5\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 4: unparseable value in panel file$"):
+            ingest(str(path), "panel")
+
+    def test_bad_line_after_comment_and_blank_lines_names_file_line(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("# xcorr-panel-v1\nbar,A,B\n0,1.0,2.0\n# note\n\n"
+                        "1,2.0,3.0\n2,1_0,4.0\n3,5.0,6.0\n")
+        with pytest.raises(ValueError, match="^line 7: unparseable value"):
+            ingest(str(path), "panel")
+
+    def test_extra_field_names_line(self, tmp_path):
+        path = tmp_path / "wide_row.csv"
+        path.write_text("# xcorr-panel-v1\nbar,A,B\n0,1.0,2.0\n\n1,2.0,3.0,4.0\n")
+        with pytest.raises(ValueError, match="^line 5: expected 3 fields, got 4$"):
+            ingest(str(path), "panel")
+
     def test_duplicate_asset_name_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("# xcorr-panel-v1\nbar,A,A,B\n0,1.0,2.0,3.0\n1,2.0,1.0,0.5\n")
@@ -84,6 +180,7 @@ class TestPanelRoundTrip:
         ("bars_per_day", "2.5"),
         ("standardized", "yes"),
         ("standardized", "True"),
+        ("dt_seconds", "soon"),
     ])
     def test_bad_header_value_names_file_and_key(self, tmp_path, key, value):
         path = tmp_path / "header.csv"
@@ -147,6 +244,33 @@ class TestWideIngest:
         path.write_text("timestamp,A,A,B\n0,100,101,50\n60,101,102,51\n")
         with pytest.raises(ValueError, match="duplicate asset name 'A'"):
             ingest(str(path), "wide", bars_per_day=1)
+
+    def test_forward_fill_matches_the_bar_loop(self):
+        rng = np.random.default_rng(5)
+        prices = 100.0 + rng.random((6, 400))
+        for i in range(prices.shape[0]):
+            gaps = rng.choice(np.arange(1, 400), size=12, replace=False)
+            prices[i, gaps] = np.nan
+        prices[0, 397:] = np.nan          # a run of gaps up to the last bar
+        prices[1, 1:6] = np.nan           # a run right after the first bar
+        want = np.array([_reference_forward_fill(row) for row in prices])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got, names = xcorr.cli._fill_missing(prices.copy(), list("ABCDEF"))
+        assert names == list("ABCDEF")
+        assert got.tobytes() == want.tobytes()
+
+    def test_header_without_rows_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "hdr_only.csv"
+        path.write_text("timestamp,A,B\n")
+        with pytest.raises(ValueError, match="no data rows in"):
+            ingest(str(path), "wide", bars_per_day=1)
+        rc = main(["spectrum", "--input", str(path), "--format", "wide",
+                   "--bars-per-day", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"] == f"no data rows in {path}"
 
     def test_unparseable_price_names_line_and_asset(self, tmp_path):
         path = tmp_path / "badprice.csv"

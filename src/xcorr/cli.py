@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from .mfdfa import MfdfaConfig, analyze, average_spectra
 from .modes import eigensignals, remove_modes_iterative
-from .panel import PricePanel, ReturnPanel, coarsen, log_returns, standardize
+from .panel import PricePanel, ReturnPanel, _frozen, coarsen, log_returns, standardize
 from .spectrum import (
     correlation_matrix,
     eigendecompose,
@@ -99,12 +100,17 @@ def _parse_panel_rows(lines, n_fields):
 
 
 def _header_number(path, meta, key, default, kind):
+    """A positive header value; an int must be whole, a float finite."""
     text = meta.get(key, default)
     try:
-        return kind(text)
+        value = kind(text)
+        ok = value > 0 and (kind is int or math.isfinite(value))
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{path}: header {key!r} must be {what}, got {text!r}") from None
+        ok = False
+    if not ok:
+        what = "a positive integer" if kind is int else "a finite positive number"
+        raise ValueError(f"{path}: header {key!r} must be {what}, got {text!r}")
+    return value
 
 
 def _read_panel_csv(path) -> ReturnPanel:
@@ -160,7 +166,7 @@ def _read_panel_csv(path) -> ReturnPanel:
         raise
     return ReturnPanel(
         assets=header[1:],
-        returns=values.T,
+        returns=_frozen(values).T,
         standardized=standardized == "true",
         bars_per_day=bars_per_day,
         dt_seconds=dt_seconds,

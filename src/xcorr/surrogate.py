@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _frozen, standardize
+from .panel import ReturnPanel, _frozen, _row_moments, standardize
 
 __all__ = [
     "KINDS",
@@ -71,9 +71,10 @@ def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
     if t < full:
         warnings.warn(f"trimming trailing partial day: {full - t} of {full} bars dropped")
     rows = np.empty((r.n_assets, t))
-    for i in range(r.n_assets):
+    for i, x in enumerate(r.returns):
         offset = int(_row_rng(seed, i).integers(0, t // unit)) * unit
-        rows[i] = np.roll(r.returns[i, :t], offset)
+        rows[i, offset:] = x[: t - offset]
+        rows[i, :offset] = x[t - offset : t]
     return replace(r, returns=_frozen(rows), standardized=r.standardized and t == full)
 
 
@@ -102,7 +103,10 @@ def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
     rows = np.empty_like(r.returns)
     for i, x in enumerate(r.returns):
         perm = _row_rng(seed, i).permutation(r.t_length)
-        rows[i] = np.sign(x)[perm] * np.abs(x) if signs else np.sign(x) * np.abs(x)[perm]
+        if signs:
+            np.multiply(np.sign(x)[perm], np.abs(x), out=rows[i])
+        else:
+            np.multiply(np.sign(x), np.abs(x)[perm], out=rows[i])
     return replace(r, returns=_frozen(rows), standardized=False)
 
 
@@ -122,8 +126,7 @@ def shuffle_magnitudes(r: ReturnPanel, seed) -> ReturnPanel:
 
 def _replace_rows(r: ReturnPanel, rows: np.ndarray, what: str) -> ReturnPanel:
     """Standardize replacement rows, dropping zero-variance ones with a warning."""
-    variances = rows.var(axis=1)
-    keep = variances > 0.0
+    keep = _row_moments(rows)[1] > 0.0
     for name in [a for a, k in zip(r.assets, keep) if not k]:
         warnings.warn(f"asset {name} has constant {what}; dropped")
     if not keep.any():

@@ -103,6 +103,14 @@ class TestPanelRoundTrip:
         back = ingest(panel_file, "panel")
         assert back.returns.flags.f_contiguous and not back.returns.flags.c_contiguous
 
+    def test_read_back_shares_no_writable_memory(self, panel_file):
+        # The reader hands the panel a frozen view of the parsed array, not a copy.
+        back = ingest(panel_file, "panel")
+        owner = back.returns.base
+        assert owner is not None and owner.base is None
+        assert not back.returns.flags.writeable and not owner.flags.writeable
+        assert back.returns.flags.f_contiguous
+
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(arrays(np.float64,
                   st.tuples(st.integers(1, 4), st.integers(2, 12)),
@@ -181,6 +189,10 @@ class TestPanelRoundTrip:
         ("standardized", "yes"),
         ("standardized", "True"),
         ("dt_seconds", "soon"),
+        ("dt_seconds", "inf"),
+        ("dt_seconds", "nan"),
+        ("dt_seconds", "0"),
+        ("dt_seconds", "-1"),
     ])
     def test_bad_header_value_names_file_and_key(self, tmp_path, key, value):
         path = tmp_path / "header.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,11 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             PricePanel(["A"], np.array([0.0, 1.0]), [[1.0, 2.0, 3.0]], 1)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    def test_dt_seconds_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt_seconds must be finite and positive"):
+            ReturnPanel(["A"], [[1.0, 2.0, 3.0]], False, 1, dt)
+
     def test_standardized_flag_validated(self):
         with pytest.raises(ValueError, match="A0"):
             ReturnPanel(["A0"], [[5.0, 6.0, 7.0]], True, 1, 60.0)
@@ -188,6 +194,13 @@ class TestOwnership:
         r = ReturnPanel(["A", "B", "C"], rows, False, 4, 60.0)
         assert r.returns is rows
 
+    def test_read_only_view_of_frozen_array_is_taken_as_is(self):
+        base = np.arange(24.0).reshape(3, 8).copy()
+        base.setflags(write=False)
+        view = base[:, :4]
+        r = ReturnPanel(["A", "B", "C"], view, False, 4, 60.0)
+        assert r.returns is view
+
     def test_read_only_view_is_copied(self):
         base = np.arange(24.0).reshape(3, 8)
         view = base[:, :4]
@@ -218,12 +231,82 @@ class TestOwnership:
 
     @pytest.mark.parametrize("layout", ["C", "F", "window"])
     def test_standardize_matches_formula_bitwise(self, layout):
+        # 33 rows: two full row blocks and a partial one.
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((7, 503)) * rng.uniform(0.01, 50.0, (7, 1)) + 3.0
+        x = rng.standard_normal((33, 503)) * rng.uniform(0.01, 50.0, (33, 1)) + 3.0
         if layout == "F":
             x = np.asfortranarray(x)
         elif layout == "window":
             x = x[:, 100:400]
-        r = ReturnPanel([f"A{i}" for i in range(7)], x, False, 1, 60.0)
+        r = ReturnPanel([f"A{i}" for i in range(33)], x, False, 1, 60.0)
         expect = (x - x.mean(1, keepdims=True)) / x.std(1, keepdims=True)
         assert np.array_equal(standardize(r).returns, expect)
+
+
+def _rows(n=33, t=64, seed=4):
+    return np.random.default_rng(seed).standard_normal((n, t)) * 2.0 + 1.0
+
+
+def _assets(n=33):
+    return [f"A{i}" for i in range(n)]
+
+
+class TestLaterRowBlocks:
+    """Errors raised from a row past the first block of a C-ordered panel."""
+
+    def test_zero_variance_row_is_named(self):
+        x = _rows()
+        x[20] = 3.0
+        with pytest.raises(ValueError, match="zero-variance series 'A20'"):
+            standardize(ReturnPanel(_assets(), x, False, 1, 60.0))
+
+    def test_non_finite_row_is_rejected(self):
+        x = _rows()
+        x[30, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            ReturnPanel(_assets(), x, False, 1, 60.0)
+
+    def test_non_finite_is_reported_before_an_earlier_unstandardized_row(self):
+        x = standardize(ReturnPanel(_assets(), _rows(), False, 1, 60.0)).returns.copy()
+        x[3] *= 2.0
+        x[30, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ReturnPanel(_assets(), x, True, 1, 60.0)
+
+    def test_unstandardized_row_is_named(self):
+        x = standardize(ReturnPanel(_assets(), _rows(), False, 1, 60.0)).returns.copy()
+        x[17] *= 2.0
+        with pytest.raises(ValueError, match="row 'A17' is not standardized"):
+            ReturnPanel(_assets(), x, True, 1, 60.0)
+
+
+class TestAllocationPeaks:
+    """Peak bytes traced while a 256 x 4096 panel is processed, over the
+    panel's own bytes.  A whole-panel temporary would add 1.0 to each."""
+
+    @pytest.fixture(scope="class")
+    def raw(self):
+        return ReturnPanel(_assets(256), _rows(256, 4096), False, 1, 60.0)
+
+    @staticmethod
+    def peak_ratio(fn, panel):
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / panel.returns.nbytes
+
+    def test_standardize(self, raw):
+        assert self.peak_ratio(lambda: standardize(raw), raw) <= 1.25
+
+    def test_rotate_free(self, raw):
+        s = standardize(raw)
+        ratio = self.peak_ratio(lambda: apply_surrogate(s, SurrogateSpec("rotate_free", 3)), s)
+        assert ratio <= 1.25
+
+    def test_standardized_construction(self, raw):
+        s = standardize(raw)
+        ratio = self.peak_ratio(lambda: ReturnPanel(s.assets, s.returns, True, 1, 60.0), s)
+        assert ratio <= 0.25

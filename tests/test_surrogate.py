@@ -118,6 +118,10 @@ class TestRotateDaily:
         )
         out = rotate_daily(p, 123)
         assert np.array_equal(out.returns, p.returns)
+        # Past the first row block too: every row draws offset 0.
+        wide = _panel(np.random.default_rng(3).standard_normal((33, 40)), bpd=40)
+        for seed in (0, 1, 12345):
+            assert np.array_equal(rotate_daily(wide, seed).returns, wide.returns)
 
     def test_day_periodic_rows_are_fixed_points(self):
         day = np.array([1.0, -2.0, 0.5, 0.5])
@@ -403,8 +407,19 @@ def _reference_panels():
     bar_rows = rng.standard_normal((250, 6)).tolist()
     f_ordered = standardize(_panel(np.array(bar_rows).T, bpd=20))
     assert f_ordered.returns.flags.f_contiguous and not f_ordered.returns.flags.c_contiguous
+    # 33 rows: two full row blocks and a partial one.  The C-ordered panel is
+    # raw, with zero returns, a partial day and a constant-sign row past the
+    # first block; the F-ordered one is standardized.
+    raw = rng.standard_normal((33, 203))
+    raw[rng.random((33, 203)) < 0.1] = 0.0
+    raw[20] = np.abs(raw[20]) + 0.1
+    c_blocks = _panel(raw, bpd=10)
+    assert c_blocks.returns.flags.c_contiguous
+    f_blocks = standardize(_panel(np.array(rng.standard_normal((240, 33)).tolist()).T, bpd=24))
+    assert f_blocks.returns.flags.f_contiguous and not f_blocks.returns.flags.c_contiguous
     return {"partial_day": partial_day, "one_bar_days": one_bar_days,
-            "zero_returns": zero_returns, "f_ordered": f_ordered}
+            "zero_returns": zero_returns, "f_ordered": f_ordered,
+            "c_blocks": c_blocks, "f_blocks": f_blocks}
 
 
 def _run_recording(fn, *args):
@@ -415,7 +430,7 @@ def _run_recording(fn, *args):
 
 
 @pytest.mark.parametrize("panel_name", ["partial_day", "one_bar_days", "zero_returns",
-                                        "f_ordered"])
+                                        "f_ordered", "c_blocks", "f_blocks"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_surrogates_match_reference(kind, panel_name):
     p = _reference_panels()[panel_name]

@@ -10,19 +10,22 @@ config itself is echoed into the output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import sys
 import tempfile
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-from .mfdfa import MfdfaConfig, analyze, average_spectra
+from .mfdfa import MfdfaConfig, _geometric_scales, analyze, average_spectra
 from .modes import eigensignals, remove_modes_iterative
 from .panel import PricePanel, ReturnPanel, _frozen, coarsen, log_returns, standardize
 from .spectrum import (
@@ -42,7 +45,6 @@ PANEL_MAGIC = "xcorr-panel-v1"
 MISSING_DROP_FRACTION = 0.05
 MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
-_MAX_BINS = 10_000
 _EXPORT_BLOCK = 1024
 
 _FIG_TAG = {
@@ -312,58 +314,93 @@ def ingest(path, format: str, bars_per_day: int = 78):
 # Config handling and artifact plumbing
 # ---------------------------------------------------------------------------
 
-DEFAULTS = {
-    "input": None,
-    "format": "panel",
-    "bars_per_day": 78,
-    "preset": None,
-    "seed": None,
-    "q_target": None,
-    "bins": 50,
-    "remove_count": 1,
-    "from_original": False,
-    "surrogate_kind": None,
-    "modes": 4,
-    "q_grid": "-4:4:0.2",
-    "detrend_order": 2,
-    "scales": None,
-    "factors": "1,2,5,10",
-    "out": "xcorr_out",
+class _Flag(NamedTuple):
+    """One config key: the flag ``--<key>`` and the config-file entry ``key``.
+
+    ``commands`` names the subcommands that take the flag; None means all.
+    A number must satisfy each bound that is set: ``ge`` (at least), ``gt``
+    (above), ``le`` (at most) and ``lt`` (below); a float must be finite.
+    """
+
+    type: type
+    default: object
+    help: str
+    commands: tuple = None
+    choices: tuple = None
+    ge: float = None
+    gt: float = None
+    le: float = None
+    lt: float = None
+
+
+_FLAGS = {
+    "input": _Flag(str, None, "input file path"),
+    "format": _Flag(str, "panel", "input file format", choices=("long", "wide", "panel")),
+    "bars_per_day": _Flag(int, 78, "grid points per trading day", ge=1, lt=2**63),
+    "preset": _Flag(str, None, "generate input from a synthetic-market preset",
+                    choices=PRESET_NAMES),
+    "seed": _Flag(int, None, "random seed (falls back to env XCORR_SEED, then 0)",
+                  ge=0, lt=2**64),
+    "q_target": _Flag(float, None, "pool windows of aspect ratio Q = q_target instead of "
+                      "the full panel", ("elements",), gt=0.0),
+    "bins": _Flag(int, 50, "histogram bin count", ("elements", "report"), ge=10, le=10_000),
+    "remove_count": _Flag(int, 1, "number of modes to remove", ("remove",), ge=1),
+    "from_original": _Flag(bool, False, "regress on the original panel's eigensignals "
+                           "instead of re-diagonalizing each pass", ("remove",)),
+    "surrogate_kind": _Flag(str, None, "which randomization to apply", ("surrogate",),
+                            choices=KINDS),
+    "modes": _Flag(int, 4, "number of leading eigensignals", ("mfdfa",), ge=1),
+    "q_grid": _Flag(str, "-4:4:0.2", "moment grid as min:max:step", ("mfdfa",)),
+    "detrend_order": _Flag(int, 2, "polynomial detrending order", ("mfdfa",)),
+    "scales": _Flag(str, None, "segment lengths: min:max:count (geometric) or comma list",
+                    ("mfdfa",)),
+    "factors": _Flag(str, "1,2,5,10", "comma list of coarsening factors", ("report",)),
+    "out": _Flag(str, "xcorr_out", "output directory"),
 }
 
-# The type the flag of each key whose default is None parses to; every other
-# flag parses to the type of its default.
-_NULLABLE_TYPES = {
-    "input": str,
-    "preset": str,
-    "seed": int,
-    "q_target": float,
-    "surrogate_kind": str,
-    "scales": str,
-}
+DEFAULTS = {key: f.default for key, f in _FLAGS.items()}
+
+_BOUNDS = (("ge", operator.ge, "at least"), ("gt", operator.gt, "above"),
+           ("le", operator.le, "at most"), ("lt", operator.lt, "below"))
+
+
+def _flag_name(key):
+    return "--" + key.replace("_", "-")
 
 
 def _check_file_value(path, key, val):
-    """A config-file value, checked against the type its flag parses to."""
-    nullable = DEFAULTS[key] is None
-    want = _NULLABLE_TYPES[key] if nullable else type(DEFAULTS[key])
+    """A config-file value, checked against the type and choices of its flag."""
+    f = _FLAGS[key]
+    nullable = f.default is None
     if val is None and nullable:
         return val
-    if want is float and type(val) is int:
+    if f.type is float and type(val) is int and abs(val) <= sys.float_info.max:
         return float(val)
-    if type(val) is not want:
-        raise ValueError(
-            f"config file {path}: {key!r} must be {want.__name__}"
-            f"{' or null' if nullable else ''}, got {val!r}"
-        )
+    if type(val) is not f.type or (f.choices and val not in f.choices):
+        want = f"one of {list(f.choices)}" if f.choices else f.type.__name__
+        raise ValueError(f"config file {path}: {key!r} must be {want}"
+                         f"{' or null' if nullable else ''}, got {val!r}")
     return val
+
+
+def _check_bounds(key, val, name):
+    """Raise a ValueError naming `name` if the number `val` breaks a bound of `key`."""
+    f = _FLAGS[key]
+    if val is None:
+        return
+    if f.type is float and not math.isfinite(val):
+        raise ValueError(f"{name} must be finite, got {val!r}")
+    for bound, holds, words in _BOUNDS:
+        limit = getattr(f, bound)
+        if limit is not None and not holds(val, limit):
+            raise ValueError(f"{name} must be {words} {limit}, got {val!r}")
 
 
 def _effective_config(args) -> dict:
     cfg = dict(DEFAULTS)
     cfg["subcommand"] = args.command
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -388,16 +425,11 @@ def _effective_config(args) -> dict:
                 cfg["seed"] = int(env)
             except ValueError:
                 raise ValueError(f"XCORR_SEED must be an integer, got {env!r}") from None
+            _check_bounds("seed", cfg["seed"], "XCORR_SEED")
         else:
             cfg["seed"] = 0
-    for key, flag in (("remove_count", "--remove-count"), ("modes", "--modes"),
-                      ("bars_per_day", "--bars-per-day")):
-        if cfg[key] < 1:
-            raise ValueError(f"{flag} must be at least 1, got {cfg[key]!r}")
-    if cfg["bins"] > _MAX_BINS:
-        raise ValueError(f"--bins must be at most {_MAX_BINS}, got {cfg['bins']!r}")
-    if cfg["q_target"] is not None and not (np.isfinite(cfg["q_target"]) and cfg["q_target"] > 0):
-        raise ValueError(f"--q-target must be finite and positive, got {cfg['q_target']!r}")
+    for key in _FLAGS:
+        _check_bounds(key, cfg[key], _flag_name(key))
     if args.command == "mfdfa":
         _mfdfa_config(cfg)  # a bad grid flag fails here, before --out is created
     explicit_bpd = "bars_per_day" in file_cfg or getattr(args, "bars_per_day", None) is not None
@@ -434,35 +466,26 @@ def _write_plot(out_dir, name, tag, cfg_hash, col_names, xs, ys):
     return path
 
 
-class _OutputDir:
-    """Create the output directory and hold a lock file for the run."""
-
-    def __init__(self, path):
-        self.path = path
-        self.lock = os.path.join(path, ".xcorr-lock")
-
-    def __enter__(self):
-        try:
-            os.makedirs(self.path, exist_ok=True)
-        except OSError as e:
-            raise ValueError(f"--out {self.path}: cannot create the output directory "
-                             f"({e.strerror})") from None
-        try:
-            fd = os.open(self.lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ValueError(
-                f"output directory {self.path} is locked by another run "
-                f"(remove {self.lock} if stale)"
-            ) from None
-        os.close(fd)
-        return self.path
-
-    def __exit__(self, *exc):
-        try:
-            os.remove(self.lock)
-        except OSError:
-            pass
-        return False
+@contextlib.contextmanager
+def _output_dir(path):
+    """Create the output directory and hold a lock file in it for the run."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ValueError(f"--out {path}: cannot create the output directory "
+                         f"({e.strerror})") from None
+    lock = os.path.join(path, ".xcorr-lock")
+    try:
+        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise ValueError(
+            f"output directory {path} is locked by another run (remove {lock} if stale)"
+        ) from None
+    try:
+        yield path
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(lock)
 
 
 def _load_panel(cfg) -> ReturnPanel:
@@ -513,24 +536,22 @@ def _parse_factors(text) -> list:
 def _parse_scales(text):
     if text is None:
         return None
-    bad = f"--scales must be 'min:max:count' or a comma list, got {text!r}"
-    if ":" in text:
-        try:
-            lo, hi, count = (int(x) for x in text.split(":"))
-        except ValueError:
-            raise ValueError(bad) from None
-        if count > _MAX_SCALES:
-            raise ValueError(
-                f"--scales {text!r} asks for {count} scales; at most {_MAX_SCALES} are allowed"
-            )
-        try:
-            return np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
-        except ValueError:
-            raise ValueError(bad) from None
+    geometric = ":" in text
     try:
-        return np.array(sorted({int(x) for x in text.split(",")}), dtype=int)
+        numbers = [int(x) for x in text.split(":" if geometric else ",")]
     except ValueError:
-        raise ValueError(bad) from None
+        numbers = []
+    if not numbers or (geometric and len(numbers) != 3) or not all(0 < x < 2**62 for x in numbers):
+        raise ValueError(f"--scales must be 'min:max:count' or a comma list, with positive "
+                         f"integers below 2**62; got {text!r}")
+    if not geometric:
+        return np.array(sorted(set(numbers)))
+    lo, hi, count = numbers
+    if count > _MAX_SCALES:
+        raise ValueError(
+            f"--scales {text!r} asks for {count} scales; at most {_MAX_SCALES} are allowed"
+        )
+    return _geometric_scales(lo, hi, count)
 
 
 def _mfdfa_config(cfg) -> MfdfaConfig:
@@ -569,7 +590,6 @@ def _run_spectrum(cfg, out, h):
     ranks = np.arange(1, s.n_series + 1)
     _write_plot(out, "fig2a-analogue.txt", "fig2a-analogue", h,
                 ("rank", "eigenvalue"), ranks, s.eigenvalues)
-    return 0
 
 
 def _run_elements(cfg, out, h):
@@ -585,7 +605,6 @@ def _run_elements(cfg, out, h):
     centers = 0.5 * (dist.bin_edges[:-1] + dist.bin_edges[1:])
     _write_plot(out, "fig1-analogue.txt", "fig1-analogue", h,
                 ("element", "density"), centers, dist.densities)
-    return 0
 
 
 def _run_remove(cfg, out, h):
@@ -622,7 +641,6 @@ def _run_remove(cfg, out, h):
                  extra_comments=[f"config_hash: {h}"])
     _write_plot(out, "fig2c-analogue.txt", "fig2c-analogue", h,
                 ("rank", "eigenvalue"), np.arange(1, s_final.n_series + 1), s_final.eigenvalues)
-    return 0
 
 
 def _run_surrogate(cfg, out, h):
@@ -654,7 +672,6 @@ def _run_surrogate(cfg, out, h):
     tag = _FIG_TAG[spec.kind]
     _write_plot(out, f"{tag}.txt", tag, h, ("rank", "eigenvalue"),
                 np.arange(1, s1.n_series + 1), s1.eigenvalues)
-    return 0
 
 
 def _run_mfdfa(cfg, out, h):
@@ -683,7 +700,6 @@ def _run_mfdfa(cfg, out, h):
                 ("q", "h"), first.q, first.h)
     _write_plot(out, "fig7-analogue.txt", "fig7-analogue", h,
                 ("alpha", "f"), avg.alpha, avg.f)
-    return 0
 
 
 def _run_synth(cfg, out, h):
@@ -694,7 +710,6 @@ def _run_synth(cfg, out, h):
     export_panel(r, os.path.join(out, "panel.csv"),
                  extra_comments=[f"config_hash: {h}"])
     _write_json(out, "synth.json", {"config_hash": h, "model": model.to_dict()})
-    return 0
 
 
 def _run_report(cfg, out, h):
@@ -727,26 +742,27 @@ def _run_report(cfg, out, h):
     _write_plot(out, "lambda1-vs-coarsening.txt", "lambda1-vs-coarsening-analogue", h,
                 ("factor", "lambda1"),
                 [f for f, _ in lam_vs_factor], [l for _, l in lam_vs_factor])
-    return 0
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "elements": _run_elements,
-    "remove": _run_remove,
-    "surrogate": _run_surrogate,
-    "mfdfa": _run_mfdfa,
-    "synth": _run_synth,
-    "report": _run_report,
+# Each subcommand's runner and its --help line.  A runner writes its artifacts
+# into the directory it is given, or raises.
+_COMMANDS = {
+    "spectrum": (_run_spectrum, "correlation spectrum vs Marchenko-Pastur bounds"),
+    "elements": (_run_elements, "distribution of correlation-matrix elements"),
+    "remove": (_run_remove, "iterative collective-mode removal"),
+    "surrogate": (_run_surrogate, "randomized surrogate panel and its spectrum"),
+    "mfdfa": (_run_mfdfa, "multifractal DFA of the leading eigensignals"),
+    "synth": (_run_synth, "generate a synthetic market panel"),
+    "report": (_run_report, "combined JSON summary incl. lambda1 vs coarsening"),
 }
 
 
 def run(subcommand: str, cfg: dict) -> int:
-    """Execute one subcommand with an effective config dict; returns exit code."""
-    if subcommand not in _RUNNERS:
+    """Execute one subcommand with an effective config dict; returns exit code 0."""
+    if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     h = config_hash(cfg)
-    with _OutputDir(cfg["out"]) as out:
+    with _output_dir(cfg["out"]) as out:
         # Artifacts go to a partial directory first and move into place only
         # once the runner has succeeded, so a failed run leaves no partial set.
         partial = tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
@@ -754,11 +770,10 @@ def run(subcommand: str, cfg: dict) -> int:
             echoed = {k: v for k, v in cfg.items() if k != "out"}
             echoed["config_hash"] = h
             _write_json(partial, "config.json", echoed)
-            code = _RUNNERS[subcommand](cfg, partial, h)
-            if code == 0:
-                for name in sorted(os.listdir(partial)):
-                    os.replace(os.path.join(partial, name), os.path.join(out, name))
-            return code
+            _COMMANDS[subcommand][0](cfg, partial, h)
+            for name in sorted(os.listdir(partial)):
+                os.replace(os.path.join(partial, name), os.path.join(out, name))
+            return 0
         finally:
             shutil.rmtree(partial, ignore_errors=True)
 
@@ -770,58 +785,21 @@ def _build_parser():
         "in multivariate return series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--input", help="input file path")
-        p.add_argument("--format", choices=["long", "wide", "panel"],
-                       help="input file format (default panel)")
-        p.add_argument("--bars-per-day", dest="bars_per_day", type=int,
-                       help="grid points per trading day (default 78)")
-        p.add_argument("--preset", choices=PRESET_NAMES,
-                       help="generate input from a synthetic-market preset")
-        p.add_argument("--seed", type=int,
-                       help="random seed (falls back to env XCORR_SEED, then 0)")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default xcorr_out)")
-
-    p = sub.add_parser("spectrum", help="correlation spectrum vs Marchenko-Pastur bounds")
-    add_common(p)
-
-    p = sub.add_parser("elements", help="distribution of correlation-matrix elements")
-    add_common(p)
-    p.add_argument("--q-target", dest="q_target", type=float,
-                   help="pool windows of aspect ratio Q = q_target instead of the full panel")
-    p.add_argument("--bins", type=int, help="histogram bin count (default 50)")
-
-    p = sub.add_parser("remove", help="iterative collective-mode removal")
-    add_common(p)
-    p.add_argument("--remove-count", dest="remove_count", type=int,
-                   help="number of modes to remove (default 1)")
-    p.add_argument("--from-original", dest="from_original", action="store_const", const=True,
-                   help="regress on the original panel's eigensignals instead of "
-                        "re-diagonalizing each pass")
-
-    p = sub.add_parser("surrogate", help="randomized surrogate panel and its spectrum")
-    add_common(p)
-    p.add_argument("--surrogate-kind", dest="surrogate_kind", choices=list(KINDS),
-                   help="which randomization to apply")
-
-    p = sub.add_parser("mfdfa", help="multifractal DFA of the leading eigensignals")
-    add_common(p)
-    p.add_argument("--modes", type=int, help="number of leading eigensignals (default 4)")
-    p.add_argument("--q-grid", dest="q_grid", help="moment grid as min:max:step (default -4:4:0.2)")
-    p.add_argument("--detrend-order", dest="detrend_order", type=int,
-                   help="polynomial detrending order (default 2)")
-    p.add_argument("--scales", help="segment lengths: min:max:count (geometric) or comma list")
-
-    p = sub.add_parser("synth", help="generate a synthetic market panel")
-    add_common(p)
-
-    p = sub.add_parser("report", help="combined JSON summary incl. lambda1 vs coarsening")
-    add_common(p)
-    p.add_argument("--bins", type=int, help="histogram bin count (default 50)")
-    p.add_argument("--factors", help="comma list of coarsening factors (default 1,2,5,10)")
-
+        for key, f in _FLAGS.items():
+            if f.commands is not None and command not in f.commands:
+                continue
+            # Every flag defaults to None, so a flag left out does not
+            # override the config file.
+            if f.type is bool:
+                kwargs = {"action": "store_const", "const": True}
+            else:
+                kwargs = {"type": f.type, "choices": f.choices}
+            shown = f.default is not None and f.type is not bool
+            p.add_argument(_flag_name(key), dest=key, **kwargs,
+                           help=f"{f.help} (default {f.default})" if shown else f.help)
     return parser
 
 

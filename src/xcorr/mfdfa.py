@@ -46,8 +46,12 @@ def default_scales(n_length: int, min_scale: int = 16, n_scales: int = 20) -> np
             f"series of length {n_length} too short for scales up to length/20 "
             f"with min scale {min_scale}"
         )
-    grid = np.unique(np.rint(np.geomspace(min_scale, max_scale, n_scales)).astype(int))
-    return grid
+    return _geometric_scales(min_scale, max_scale, n_scales)
+
+
+def _geometric_scales(lo, hi, count) -> np.ndarray:
+    """The distinct integers nearest `count` geometrically spaced points from lo to hi."""
+    return np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
 
 
 @dataclass

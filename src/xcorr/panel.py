@@ -85,6 +85,17 @@ def _row_moments(x):
     return means, variances
 
 
+def _bars_per_day(value):
+    """`value` as an int in [1, 2**63), or a ValueError naming bars_per_day."""
+    try:
+        ok = int(value) == value and 1 <= value < 2**63
+    except (OverflowError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"bars_per_day must be a positive integer below 2**63, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class PricePanel:
     """Strictly positive prices of N assets on one uniform time grid.
@@ -116,9 +127,7 @@ class PricePanel:
             raise ValueError("timestamps must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("timestamps must form a uniform grid")
-        if int(self.bars_per_day) != self.bars_per_day or self.bars_per_day < 1:
-            raise ValueError(f"bars_per_day must be a positive integer, got {self.bars_per_day}")
-        self.bars_per_day = int(self.bars_per_day)
+        self.bars_per_day = _bars_per_day(self.bars_per_day)
         bad = np.argwhere(~(self.prices > 0))
         if bad.size:
             i, j = bad[0]
@@ -160,11 +169,13 @@ class ReturnPanel:
             raise ValueError("panel needs at least one series")
         if t < 2:
             raise ValueError(f"panel needs at least two observations per series, got T={t}")
-        if int(self.bars_per_day) != self.bars_per_day or self.bars_per_day < 1:
-            raise ValueError(f"bars_per_day must be a positive integer, got {self.bars_per_day}")
-        self.bars_per_day = int(self.bars_per_day)
-        if not (math.isfinite(self.dt_seconds) and self.dt_seconds > 0):
-            raise ValueError(f"dt_seconds must be finite and positive, got {self.dt_seconds}")
+        self.bars_per_day = _bars_per_day(self.bars_per_day)
+        try:
+            ok = math.isfinite(self.dt_seconds) and self.dt_seconds > 0
+        except (OverflowError, TypeError):
+            ok = False
+        if not ok:
+            raise ValueError(f"dt_seconds must be finite and positive, got {self.dt_seconds!r}")
         self.dt_seconds = float(self.dt_seconds)
         for b in _row_blocks(self.returns):
             if not np.isfinite(self.returns[b]).all():

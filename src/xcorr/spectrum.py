@@ -265,17 +265,21 @@ def windowed_element_distribution(
     built, so short-window sampling noise enters exactly as it would for a
     panel recorded at that aspect ratio.
     """
-    if not q_target > 0:
-        raise ValueError("q_target must be positive")
     n = r.n_assets
-    window = int(round(q_target * n))
+    if n < 3:
+        raise ValueError("need at least 3 series for a meaningful element distribution")
+    if not 0 < q_target < math.inf:
+        raise ValueError(f"q_target must be finite and positive, got {q_target!r}")
+    # A window longer than the panel holds nothing; capping it there keeps a
+    # huge q_target * N from overflowing int().
+    window = int(round(min(q_target * n, r.t_length + 1)))
     if window < 2:
         raise ValueError(f"window length {window} is too short")
     n_windows = r.t_length // window
     if n_windows < 1:
         raise ValueError(
-            f"panel of length {r.t_length} holds no full window of length {window} "
-            f"(q_target={q_target}, N={n})"
+            f"panel of length {r.t_length} holds no full window of length "
+            f"q_target*N = {q_target * n:.6g} (q_target={q_target}, N={n})"
         )
     pooled = []
     iu = np.triu_indices(n, k=1)
@@ -283,6 +287,4 @@ def windowed_element_distribution(
         chunk = replace(r, returns=r.returns[:, w * window : (w + 1) * window], standardized=False)
         c = correlation_matrix(standardize(chunk))
         pooled.append(c.values[iu])
-    if n < 3:
-        raise ValueError("need at least 3 series for a meaningful element distribution")
     return _distribution_from_entries(np.concatenate(pooled), n_bins)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .panel import ReturnPanel, _frozen, _row_moments, standardize
+from .synth import _stream
 
 __all__ = [
     "KINDS",
@@ -59,11 +60,6 @@ class SurrogateSpec:
         return {"kind": self.kind, "seed": self.seed}
 
 
-def _row_rng(seed, row):
-    """Independent deterministic stream for one row: Philox keyed (seed, row)."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, row], dtype=np.uint64)))
-
-
 def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
     """Roll each row by an independent whole number of `unit`-bar blocks."""
     full = r.t_length
@@ -72,7 +68,7 @@ def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
         warnings.warn(f"trimming trailing partial day: {full - t} of {full} bars dropped")
     rows = np.empty((r.n_assets, t))
     for i, x in enumerate(r.returns):
-        offset = int(_row_rng(seed, i).integers(0, t // unit)) * unit
+        offset = int(_stream(seed, i).integers(0, t // unit)) * unit
         rows[i, offset:] = x[: t - offset]
         rows[i, :offset] = x[t - offset : t]
     return replace(r, returns=_frozen(rows), standardized=r.standardized and t == full)
@@ -102,7 +98,7 @@ def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
     """Permute each row's sign (`signs`) or magnitude sequence, the other in place."""
     rows = np.empty_like(r.returns)
     for i, x in enumerate(r.returns):
-        perm = _row_rng(seed, i).permutation(r.t_length)
+        perm = _stream(seed, i).permutation(r.t_length)
         if signs:
             np.multiply(np.sign(x)[perm], np.abs(x), out=rows[i])
         else:

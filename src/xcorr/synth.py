@@ -107,6 +107,7 @@ class MarketModel:
 
 
 def _stream(seed, stream_id):
+    """Independent deterministic stream `stream_id`: Philox keyed (seed, stream_id)."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -5,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -690,6 +692,10 @@ class TestConfigPrecedence:
         ("spectrum", "seed", [1]),
         ("remove", "from_original", "no"),
         ("remove", "remove_count", "2"),
+        ("surrogate", "surrogate_kind", "bogus"),
+        ("spectrum", "format", "csv"),
+        ("spectrum", "preset", "garch"),
+        pytest.param("elements", "q_target", 10**400, id="elements-q_target-10**400"),
     ])
     def test_config_value_of_wrong_type_rejected(self, panel_file, tmp_path, capsys,
                                                  subcommand, key, value):
@@ -700,7 +706,7 @@ class TestConfigPrecedence:
         assert rc == 1
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
-        assert repr(key) in err["error"]
+        assert repr(key) in err["error"] and str(cfg_path) in err["error"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body", ["5", '["bins"]'])
@@ -741,6 +747,18 @@ class TestConfigPrecedence:
         rc = main(["spectrum", "--input", panel_file, "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "XCORR_SEED" in _stderr_json(capsys)["error"]
+
+    @pytest.mark.parametrize("env", ["-1", str(2**64)])
+    def test_env_seed_out_of_range_is_an_error(self, panel_file, tmp_path, monkeypatch,
+                                               capsys, env):
+        monkeypatch.setenv("XCORR_SEED", env)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "XCORR_SEED" in err["error"]
+        assert not out.exists()
 
     def test_hash_ignores_output_path(self, panel_file, tmp_path):
         outs = [tmp_path / "h1", tmp_path / "h2"]
@@ -832,6 +850,11 @@ class TestMainErrors:
         (["mfdfa", "--scales", "16:400:100000000000"], "--scales"),
         (["elements", "--bins", "100000000000"], "--bins"),
         (["elements", "--q-target", "inf"], "--q-target"),
+        (["elements", "--bins", "5"], "--bins"),
+        (["report", "--bins", "9"], "--bins"),
+        (["spectrum", "--seed", "-1"], "--seed"),
+        (["surrogate", "--surrogate-kind", "rotate_free", "--seed", str(2**64)], "--seed"),
+        (["elements", "--q-target", "0"], "--q-target"),
     ])
     def test_out_of_range_number_is_an_error(self, panel_file, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"
@@ -872,3 +895,84 @@ class TestMainErrors:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "not found" in _stderr_json(capsys)["error"]
+
+
+# Flags the fuzz test sets itself (--input, --out) or leaves out: a preset is
+# paper-scale.
+_FUZZ_SKIP = {"input", "out", "preset"}
+
+
+def _flag_token(f):
+    """A valid value of flag `f`, a value beyond one of its bounds, or a token of
+    the wrong type, as argv text."""
+    bad = {int: ["x", "1.5"], float: ["x"], str: []}[f.type]
+    if f.choices is not None:
+        valid = st.sampled_from(f.choices)
+        bad = ["bogus"]
+    elif f.type is int:
+        lo = f.ge if f.gt is None else f.gt + 1
+        hi = f.le if f.lt is None else f.lt - 1
+        valid = st.integers(min_value=lo, max_value=hi).map(str)
+    elif f.type is float:
+        valid = st.floats(min_value=f.gt, exclude_min=f.gt is not None,
+                          allow_nan=False, allow_infinity=False).map(repr)
+        bad += ["inf", "nan"]
+    else:
+        valid = st.text(alphabet="0123456789:,.-ex", max_size=24)
+        if f.default is not None:
+            valid = st.one_of(st.just(f.default), valid)
+    for limit, beyond in ((f.ge, -1), (f.gt, 0), (f.le, 1), (f.lt, 0)):
+        if limit is not None:
+            bad.append(repr(f.type(limit + beyond)))
+    return st.one_of(valid, st.sampled_from(bad)) if bad else valid
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand and a subset of its flags, each with a drawn value."""
+    command = draw(st.sampled_from(list(xcorr.cli._COMMANDS)))
+    keys = [k for k, f in xcorr.cli._FLAGS.items()
+            if k not in _FUZZ_SKIP and (f.commands is None or command in f.commands)]
+    argv = [command]
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4)):
+        f, flag = xcorr.cli._FLAGS[key], xcorr.cli._flag_name(key)
+        argv.append(flag if f.type is bool else f"{flag}={draw(_flag_token(f))}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_panel_file(tmp_path_factory):
+    """A 5 x 1000 panel: long enough for MFDFA's default scales, small enough to
+    run every subcommand in milliseconds."""
+    path = tmp_path_factory.mktemp("fuzz") / "panel.csv"
+    export_panel(generate(MarketModel(n_assets=5, t_length=1000, bars_per_day=10,
+                                      market_loading=0.5, seed=3)), path)
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argv=_cli_argv())
+@example(argv=["elements", "--q-target=6.801888977388783e+307"])
+@example(argv=["mfdfa", "--scales=16,99999999999999999999"])
+@example(argv=["mfdfa", "--scales=16:99999999999999999999:5"])
+def test_fuzzed_argv_exits_cleanly(fuzz_panel_file, argv):
+    """Any argv built from the flag table is a usage error (exit 2), a success,
+    or a reported ValueError (exit 1); a failure leaves no artifact."""
+    with tempfile.TemporaryDirectory() as root:
+        out = os.path.join(root, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                rc = main([*argv, "--input", fuzz_panel_file, "--out", out])
+            except SystemExit as e:
+                assert e.code == 2, argv
+                assert not os.path.exists(out), argv
+                return
+        if rc == 0:
+            assert "config.json" in os.listdir(out), argv
+            return
+        assert rc == 1, argv
+        assert json.loads(err.getvalue().splitlines()[-1])["type"] == "ValueError", \
+            (argv, err.getvalue())
+        assert not os.path.exists(out) or os.listdir(out) == [], argv

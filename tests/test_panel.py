@@ -155,10 +155,21 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             PricePanel(["A"], np.array([0.0, 1.0]), [[1.0, 2.0, 3.0]], 1)
 
-    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -1.0,
+                                    pytest.param(10**400, id="10**400")])
     def test_dt_seconds_must_be_finite_and_positive(self, dt):
         with pytest.raises(ValueError, match="dt_seconds must be finite and positive"):
             ReturnPanel(["A"], [[1.0, 2.0, 3.0]], False, 1, dt)
+
+    @pytest.mark.parametrize("bars", [math.inf, math.nan, 2.5, 0,
+                                      pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("make", [
+        lambda bars: ReturnPanel(["A"], [[1.0, 2.0, 3.0]], False, bars, 60.0),
+        lambda bars: PricePanel(["A"], np.array([0.0, 1.0, 2.0]), [[1.0, 2.0, 3.0]], bars),
+    ], ids=["ReturnPanel", "PricePanel"])
+    def test_bars_per_day_must_be_a_positive_integer(self, make, bars):
+        with pytest.raises(ValueError, match="bars_per_day must be a positive integer"):
+            make(bars)
 
     def test_standardized_flag_validated(self):
         with pytest.raises(ValueError, match="A0"):

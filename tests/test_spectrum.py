@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xcorr.spectrum
 from xcorr.panel import ReturnPanel, standardize
 from xcorr.spectrum import (
     CorrelationMatrix,
@@ -297,6 +298,14 @@ class TestWindowedElementDistribution:
         d_win = windowed_element_distribution(p, q_target=3.0)
         d_full = element_distribution(correlation_matrix(p))
         assert d_win.gaussian_sigma > 2.0 * d_full.gaussian_sigma
+
+    def test_too_few_series_fails_before_any_window(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(xcorr.spectrum, "correlation_matrix",
+                            lambda *a: calls.append(a) or correlation_matrix(*a))
+        with pytest.raises(ValueError, match="3 series"):
+            windowed_element_distribution(_iid_panel(2, 4000, seed=5), q_target=1.0)
+        assert calls == []
 
     def test_rejects_nonpositive_q_target(self, panel_3x16):
         with pytest.raises(ValueError, match="positive"):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +24,16 @@ VAR_TOL = 1e-8
 # Rows per block of a pass over a C-ordered panel: 16 rows of T = 40600 are
 # about 5 MB, so each block's temporaries stay in cache.
 _ROW_BLOCK = 16
+
+
+# Threads that take row blocks beside the calling thread, one per other core
+# this process may run on.  The pool starts its threads on first use, so a
+# one-core process never starts one.
+try:
+    _HELPERS = len(os.sched_getaffinity(0)) - 1
+except AttributeError:  # no sched_getaffinity on this platform
+    _HELPERS = (os.cpu_count() or 1) - 1
+_POOL = ThreadPoolExecutor(max(_HELPERS, 1), thread_name_prefix="xcorr-rows")
 
 
 def _frozen(arr):
@@ -70,6 +83,55 @@ def _row_blocks(x):
         yield slice(start, start + step)
 
 
+def _each_block(fn, x):
+    """``[fn(b) for b in _row_blocks(x)]``, the blocks shared out among threads.
+
+    The calling thread and up to ``_HELPERS`` pool threads each claim the next
+    block until none is left, so a descheduled thread holds up only its own
+    block.  `fn` must touch only its own rows of any shared output and call
+    only numpy and private helpers.  Every block runs; then the exception of
+    the first failing block in block order is raised, which is the one the
+    serial loop (one block, or no helper thread) stops at.
+    """
+    blocks = list(_row_blocks(x))
+    helpers = min(_HELPERS, len(blocks) - 1)
+    if helpers < 1:
+        return [fn(b) for b in blocks]
+    results, errors = [None] * len(blocks), [None] * len(blocks)
+    claim, lock = iter(range(len(blocks))), threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                k = next(claim, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(blocks[k])
+            except Exception as exc:  # raised in block order below
+                errors[k] = exc
+
+    futures = [_POOL.submit(work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        # Every block is claimed by now; a helper that has not started (its
+        # thread busy or, after a fork, gone) has nothing left to do.
+        for f in futures:
+            if not f.cancel():
+                f.result()
+    first = next((exc for exc in errors if exc is not None), None)
+    # The traceback keeps this frame and `work`'s; holding no error here lets
+    # a failed pass free its arrays without waiting for the cycle collector.
+    errors = None
+    if first is not None:
+        try:
+            raise first
+        finally:
+            first = None
+    return results
+
+
 def _row_moments(x):
     """Per-row mean and population variance, one row block at a time.
 
@@ -77,11 +139,13 @@ def _row_moments(x):
     """
     n, t = x.shape
     means, variances = np.empty(n), np.empty(n)
-    for b in _row_blocks(x):
+
+    def moments(b):
         means[b] = np.add.reduce(x[b], axis=1) / t
         d = x[b] - means[b, None]
         variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
-        del d  # so the next block's temporary does not overlap this one
+
+    _each_block(moments, x)
     return means, variances
 
 
@@ -177,9 +241,13 @@ class ReturnPanel:
         if not ok:
             raise ValueError(f"dt_seconds must be finite and positive, got {self.dt_seconds!r}")
         self.dt_seconds = float(self.dt_seconds)
-        for b in _row_blocks(self.returns):
-            if not np.isfinite(self.returns[b]).all():
+        x = self.returns
+
+        def check_finite(b):
+            if not np.isfinite(x[b]).all():
                 raise ValueError("returns contain non-finite values")
+
+        _each_block(check_finite, x)
         if self.standardized:
             means, variances = _row_moments(self.returns)
             bad = np.flatnonzero(
@@ -221,7 +289,8 @@ def standardize(r: ReturnPanel) -> ReturnPanel:
     """
     x, t = r.returns, r.t_length
     out = np.empty_like(x)
-    for b in _row_blocks(x):
+
+    def scale(b):
         d = np.subtract(x[b], np.add.reduce(x[b], axis=1, keepdims=True) / t, out=out[b])
         stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / t)
         flat = np.flatnonzero(stds[:, 0] == 0)
@@ -230,6 +299,8 @@ def standardize(r: ReturnPanel) -> ReturnPanel:
                 f"cannot standardize zero-variance series {r.assets[b.start + flat[0]]!r}"
             )
         np.divide(d, stds, out=d)
+
+    _each_block(scale, x)
     return replace(r, returns=_frozen(out), standardized=True)
 
 

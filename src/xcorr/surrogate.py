@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _frozen, _row_moments, standardize
+from .panel import ReturnPanel, _each_block, _frozen, _row_moments, standardize
 from .synth import _stream
 
 __all__ = [
@@ -67,10 +67,14 @@ def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
     if t < full:
         warnings.warn(f"trimming trailing partial day: {full - t} of {full} bars dropped")
     rows = np.empty((r.n_assets, t))
-    for i, x in enumerate(r.returns):
-        offset = int(_stream(seed, i).integers(0, t // unit)) * unit
-        rows[i, offset:] = x[: t - offset]
-        rows[i, :offset] = x[t - offset : t]
+
+    def roll(b):
+        for i, x in enumerate(r.returns[b], b.start):
+            offset = int(_stream(seed, i).integers(0, t // unit)) * unit
+            rows[i, offset:] = x[: t - offset]
+            rows[i, :offset] = x[t - offset : t]
+
+    _each_block(roll, r.returns)
     return replace(r, returns=_frozen(rows), standardized=r.standardized and t == full)
 
 
@@ -97,12 +101,16 @@ def rotate_daily(r: ReturnPanel, seed) -> ReturnPanel:
 def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
     """Permute each row's sign (`signs`) or magnitude sequence, the other in place."""
     rows = np.empty_like(r.returns)
-    for i, x in enumerate(r.returns):
-        perm = _stream(seed, i).permutation(r.t_length)
-        if signs:
-            np.multiply(np.sign(x)[perm], np.abs(x), out=rows[i])
-        else:
-            np.multiply(np.sign(x), np.abs(x)[perm], out=rows[i])
+
+    def permute(b):
+        for i, x in enumerate(r.returns[b], b.start):
+            perm = _stream(seed, i).permutation(r.t_length)
+            if signs:
+                np.multiply(np.sign(x)[perm], np.abs(x), out=rows[i])
+            else:
+                np.multiply(np.sign(x), np.abs(x)[perm], out=rows[i])
+
+    _each_block(permute, r.returns)
     return replace(r, returns=_frozen(rows), standardized=False)
 
 

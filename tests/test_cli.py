@@ -488,6 +488,16 @@ class TestMainRemove:
         export_panel(res.panel, ref_panel, extra_comments=[f"config_hash: {got['config_hash']}"])
         assert _read(out / "residual_panel.csv") == _read(ref_panel)
 
+    def test_remove_count_above_n_is_an_error(self, sector_panel_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["remove", "--input", sector_panel_file, "--remove-count", "13",
+                   "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "N=12, got 13" in err["error"]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_zero_remove_count_is_an_error(self, panel_file, tmp_path, capsys):
         rc = main(["remove", "--input", panel_file, "--remove-count", "0",
                    "--out", str(tmp_path / "out")])

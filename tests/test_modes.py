@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xcorr.modes
 from xcorr.modes import (
     Eigensignal,
     ResidualPanel,
@@ -239,6 +240,16 @@ class TestRemoveModesIterative:
     def test_rejects_nonpositive_count(self, panel_4x64):
         with pytest.raises(ValueError, match="count"):
             remove_modes_iterative(panel_4x64, 0)
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    @pytest.mark.parametrize("count", [5, 10**11])
+    def test_rejects_count_above_n_before_any_pass(self, panel_4x64, monkeypatch,
+                                                   from_original, count):
+        calls = []
+        monkeypatch.setattr(xcorr.modes, "correlation_matrix", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=f"count must be at most .* N=4, got {count}"):
+            remove_modes_iterative(panel_4x64, count, from_original=from_original)
+        assert calls == []
 
     @pytest.mark.parametrize("from_original", [False, True])
     def test_spectra_are_the_spectra_entering_each_pass(self, from_original):

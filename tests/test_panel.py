@@ -1,12 +1,28 @@
+import gc
+import inspect
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import xcorr.panel
+import xcorr.surrogate
+import xcorr.synth
 from xcorr.cli import ingest
 from xcorr.modes import eigensignals, remove_mode
-from xcorr.panel import PricePanel, ReturnPanel, coarsen, log_returns, standardize
+from xcorr.panel import (
+    PricePanel,
+    ReturnPanel,
+    _each_block,
+    _row_moments,
+    coarsen,
+    log_returns,
+    standardize,
+)
 from xcorr.spectrum import correlation_matrix, eigendecompose
 from xcorr.surrogate import KINDS, SurrogateSpec, apply_surrogate
 from xcorr.synth import MarketModel, generate
@@ -289,6 +305,178 @@ class TestLaterRowBlocks:
         x[17] *= 2.0
         with pytest.raises(ValueError, match="row 'A17' is not standardized"):
             ReturnPanel(_assets(), x, True, 1, 60.0)
+
+
+@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
+def helpers(request, monkeypatch):
+    """The row-block passes with 0 (serial), 1 or 3 helper threads."""
+    monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
+    return request.param
+
+
+def _pooled(monkeypatch):
+    monkeypatch.setattr(xcorr.panel, "_HELPERS", max(xcorr.panel._HELPERS, 1))
+
+
+def _four_blocks():
+    """A raw C-ordered 50 x 3000 panel: row blocks of 16, 16, 16 and 2 rows."""
+    x = _rows(50, 3000, seed=11) * np.random.default_rng(12).uniform(0.1, 20.0, (50, 1))
+    assert x.flags.c_contiguous
+    return ReturnPanel(_assets(50), x, False, 10, 60.0)
+
+
+def _blocked_outputs(raw):
+    s = standardize(raw)
+    means, variances = _row_moments(raw.returns)
+    built = ReturnPanel(s.assets, s.returns, True, s.bars_per_day, s.dt_seconds)
+    surrogates = [apply_surrogate(s, SurrogateSpec(kind, 7)).returns for kind in KINDS]
+    return [s.returns, means, variances, built.returns, *surrogates]
+
+
+class TestThreadedRowBlocks:
+    """The row-block passes shared out among threads: same bits, same errors."""
+
+    def test_pooled_matches_serial_bitwise(self, monkeypatch):
+        raw = _four_blocks()
+        _pooled(monkeypatch)
+        pooled = _blocked_outputs(raw)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", 0)
+        serial = _blocked_outputs(raw)
+        assert len(pooled) == len(serial) == 4 + len(KINDS)
+        for got, expect in zip(pooled, serial):
+            assert np.array_equal(got, expect)
+
+    def test_helper_threads_take_blocks(self, monkeypatch):
+        _pooled(monkeypatch)
+        both = threading.Barrier(2, timeout=10)
+
+        def fn(b):
+            if b.start < 32:  # blocks 0 and 1 wait for each other
+                both.wait()
+            return b, threading.current_thread()
+
+        out = _each_block(fn, np.zeros((50, 3)))
+        assert [b for b, _ in out] == [slice(k, k + 16) for k in range(0, 64, 16)]
+        assert out[0][1] is not out[1][1]
+
+    def test_exception_in_a_helper_reaches_the_caller(self, monkeypatch):
+        _pooled(monkeypatch)
+        both = threading.Barrier(2, timeout=10)
+        boom = RuntimeError("boom")
+
+        def fn(b):
+            if b.start < 32:
+                both.wait()
+                if threading.current_thread() is not threading.main_thread():
+                    raise boom
+            return b.start
+
+        with pytest.raises(RuntimeError) as caught:
+            _each_block(fn, np.zeros((50, 3)))
+        assert caught.value is boom
+        assert _each_block(lambda b: b.start, np.zeros((50, 3))) == [0, 16, 32, 48]
+
+    def test_first_failing_block_wins(self, helpers):
+        def fn(b):
+            if b.start in (16, 48):
+                raise ValueError(f"block at {b.start}")
+
+        with pytest.raises(ValueError, match="block at 16"):
+            _each_block(fn, np.zeros((50, 3)))
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter can.
+        pool = ThreadPoolExecutor(6)
+        monkeypatch.setattr(xcorr.panel, "_POOL", pool)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", 6)
+        x = np.zeros((16 * 40 + 3, 2))
+        expect = list(range(0, 16 * 41, 16))
+        failures = []
+
+        def stress():
+            for _ in range(100):
+                runs = []
+                got = _each_block(lambda b: runs.append(b.start) or b.start, x)
+                if got != expect or sorted(runs) != expect:
+                    failures.append((got, runs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=stress, daemon=True)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert not t.is_alive()
+        assert failures == []
+
+    def test_failed_pass_leaves_no_reference_cycle(self, helpers):
+        # Otherwise the traceback would keep the pass's output array alive
+        # until the cycle collector runs.
+        x = _four_blocks().returns.copy()
+        x[20] = 3.0
+        r = ReturnPanel(_assets(50), x, False, 1, 60.0)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(ValueError, match="'A20'"):
+                standardize(r)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_zero_variance_row_of_the_first_failing_block_is_named(self, helpers):
+        x = _four_blocks().returns.copy()
+        x[20] = 3.0
+        x[49] = -1.0
+        with pytest.raises(ValueError, match="zero-variance series 'A20'"):
+            standardize(ReturnPanel(_assets(50), x, False, 1, 60.0))
+
+    def test_non_finite_wins_over_an_unstandardized_row_in_block_0(self, helpers):
+        x = standardize(_four_blocks()).returns.copy()
+        x[3] *= 2.0
+        x[49, 5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ReturnPanel(_assets(50), x, True, 1, 60.0)
+
+    def test_f_ordered_panel_is_one_block_on_the_calling_thread(self, monkeypatch):
+        _pooled(monkeypatch)
+        x = np.asfortranarray(np.zeros((50, 3)))
+        out = _each_block(lambda b: (b, threading.current_thread()), x)
+        assert out == [(slice(0, 50), threading.main_thread())]
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        """A tracer that wraps the public functions and every panel
+        construction, keeping one span stack, sees them all on one thread."""
+        _pooled(monkeypatch)
+        calls = []
+
+        def recorded(name, fn):
+            def recorder(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return recorder
+
+        public = {}
+        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth):
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                    public[obj] = name
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "xcorr":
+                for attr, obj in list(vars(mod).items()):
+                    if inspect.isfunction(obj) and obj in public:
+                        monkeypatch.setattr(mod, attr, recorded(public[obj], obj))
+        monkeypatch.setattr(ReturnPanel, "__post_init__",
+                            recorded("ReturnPanel", ReturnPanel.__post_init__))
+        s = xcorr.panel.standardize(_four_blocks())
+        for kind in KINDS:
+            xcorr.surrogate.apply_surrogate(s, SurrogateSpec(kind, 5))
+        assert {"standardize", "ReturnPanel", "apply_surrogate", *KINDS} <= {n for n, _ in calls}
+        assert {t for _, t in calls} == {threading.main_thread()}
 
 
 class TestAllocationPeaks:

@@ -417,9 +417,12 @@ def _reference_panels():
     assert c_blocks.returns.flags.c_contiguous
     f_blocks = standardize(_panel(np.array(rng.standard_normal((240, 33)).tolist()).T, bpd=24))
     assert f_blocks.returns.flags.f_contiguous and not f_blocks.returns.flags.c_contiguous
+    # 40 rows: row blocks of 16, 16 and 8, which the helper threads share.
+    wide_blocks = standardize(_panel(rng.standard_normal((40, 1003)), bpd=10))
+    assert wide_blocks.returns.flags.c_contiguous
     return {"partial_day": partial_day, "one_bar_days": one_bar_days,
             "zero_returns": zero_returns, "f_ordered": f_ordered,
-            "c_blocks": c_blocks, "f_blocks": f_blocks}
+            "c_blocks": c_blocks, "f_blocks": f_blocks, "wide_blocks": wide_blocks}
 
 
 def _run_recording(fn, *args):
@@ -430,7 +433,7 @@ def _run_recording(fn, *args):
 
 
 @pytest.mark.parametrize("panel_name", ["partial_day", "one_bar_days", "zero_returns",
-                                        "f_ordered", "c_blocks", "f_blocks"])
+                                        "f_ordered", "c_blocks", "f_blocks", "wide_blocks"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_surrogates_match_reference(kind, panel_name):
     p = _reference_panels()[panel_name]

@@ -252,10 +252,12 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
     asset_index = {a: i for i, a in enumerate(assets)}
 
     prices = np.full((len(assets), len(grid)), np.nan)
+    filled = np.zeros(prices.shape, dtype=bool)
     for ts, asset, price, lineno in records:
         i, j = asset_index[asset], grid_index[ts]
-        if not np.isnan(prices[i, j]):
+        if filled[i, j]:
             raise ValueError(f"line {lineno}: duplicate (timestamp, asset) = ({ts}, {asset})")
+        filled[i, j] = True
         prices[i, j] = price
 
     prices, assets = _fill_missing(prices, assets)
@@ -676,8 +678,10 @@ def _run_surrogate(cfg, out, h):
 
 def _run_mfdfa(cfg, out, h):
     r = _load_panel(cfg)
+    n_modes = int(cfg["modes"])
+    if n_modes > r.n_assets:
+        raise ValueError(f"--modes {n_modes} exceeds the number of assets N={r.n_assets}")
     _, s, _, _ = _spectrum_payload(r)
-    n_modes = min(int(cfg["modes"]), s.n_series)
     mf_cfg = _mfdfa_config(cfg)
     per_mode = []
     spectra = []

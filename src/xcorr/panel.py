@@ -132,21 +132,25 @@ def _each_block(fn, x):
     return results
 
 
-def _row_moments(x):
-    """Per-row mean and population variance, one row block at a time.
-
-    The arithmetic is that of ``x.mean(1)`` and ``x.var(1)``, so the bits agree.
+def _standardized_rows(x, f=None):
+    """``(y - y.mean(1)) / y.std(1)`` for ``y = f(x)`` (or `x`), bit for bit, in
+    one row-block pass, and a mask of the zero-variance rows, which are left
+    centred rather than divided.  Without `f` the output keeps the layout of
+    `x`, whose row sums follow it; with `f` it is C-ordered.
     """
     n, t = x.shape
-    means, variances = np.empty(n), np.empty(n)
+    out = np.empty_like(x) if f is None else np.empty((n, t))
+    flat = np.empty(n, dtype=bool)
 
-    def moments(b):
-        means[b] = np.add.reduce(x[b], axis=1) / t
-        d = x[b] - means[b, None]
-        variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
+    def scale(b):
+        y = x[b] if f is None else f(x[b], out=out[b])
+        d = np.subtract(y, np.add.reduce(y, axis=1, keepdims=True) / t, out=out[b])
+        stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / t)
+        flat[b] = stds[:, 0] == 0
+        np.divide(d, stds, out=d, where=stds != 0)
 
-    _each_block(moments, x)
-    return means, variances
+    _each_block(scale, x)
+    return out, flat
 
 
 def _bars_per_day(value):
@@ -192,11 +196,12 @@ class PricePanel:
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("timestamps must form a uniform grid")
         self.bars_per_day = _bars_per_day(self.bars_per_day)
-        bad = np.argwhere(~(self.prices > 0))
+        bad = np.argwhere(~((self.prices > 0) & (self.prices < np.inf)))
         if bad.size:
             i, j = bad[0]
             raise ValueError(
-                f"non-positive price for asset {self.assets[i]!r} at bar {j}: {self.prices[i, j]}"
+                f"non-positive or non-finite price for asset {self.assets[i]!r} "
+                f"at bar {j}: {self.prices[i, j]}"
             )
 
     @property
@@ -242,14 +247,18 @@ class ReturnPanel:
             raise ValueError(f"dt_seconds must be finite and positive, got {self.dt_seconds!r}")
         self.dt_seconds = float(self.dt_seconds)
         x = self.returns
+        means, variances = np.empty(n), np.empty(n)
 
-        def check_finite(b):
+        def check(b):
             if not np.isfinite(x[b]).all():
                 raise ValueError("returns contain non-finite values")
+            if self.standardized:
+                means[b] = np.add.reduce(x[b], axis=1) / t
+                d = x[b] - means[b, None]
+                variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
 
-        _each_block(check_finite, x)
+        _each_block(check, x)
         if self.standardized:
-            means, variances = _row_moments(self.returns)
             bad = np.flatnonzero(
                 (np.abs(means) >= MEAN_TOL) | (np.abs(variances - 1.0) >= VAR_TOL)
             )
@@ -281,26 +290,11 @@ def log_returns(p: PricePanel) -> ReturnPanel:
 
 
 def standardize(r: ReturnPanel) -> ReturnPanel:
-    """Shift/scale each row to mean 0, population variance 1 (divisor T).
-
-    Each row block is centred into the output and scaled there; the
-    operations are those of ``(x - x.mean(1)) / x.std(1)`` in the same order,
-    so the bits agree.
-    """
-    x, t = r.returns, r.t_length
-    out = np.empty_like(x)
-
-    def scale(b):
-        d = np.subtract(x[b], np.add.reduce(x[b], axis=1, keepdims=True) / t, out=out[b])
-        stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / t)
-        flat = np.flatnonzero(stds[:, 0] == 0)
-        if flat.size:
-            raise ValueError(
-                f"cannot standardize zero-variance series {r.assets[b.start + flat[0]]!r}"
-            )
-        np.divide(d, stds, out=d)
-
-    _each_block(scale, x)
+    """Shift/scale each row to mean 0, population variance 1 (divisor T), with
+    the bits of ``(x - x.mean(1)) / x.std(1)``."""
+    out, flat = _standardized_rows(r.returns)
+    if flat.any():
+        raise ValueError(f"cannot standardize zero-variance series {r.assets[flat.argmax()]!r}")
     return replace(r, returns=_frozen(out), standardized=True)
 
 

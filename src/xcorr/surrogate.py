@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _row_moments, standardize
+from .panel import ReturnPanel, _each_block, _frozen, _standardized_rows
 from .synth import _stream
 
 __all__ = [
@@ -128,28 +128,26 @@ def shuffle_magnitudes(r: ReturnPanel, seed) -> ReturnPanel:
     return _shuffle(r, seed, signs=False)
 
 
-def _replace_rows(r: ReturnPanel, rows: np.ndarray, what: str) -> ReturnPanel:
-    """Standardize replacement rows, dropping zero-variance ones with a warning."""
-    keep = _row_moments(rows)[1] > 0.0
-    for name in [a for a, k in zip(r.assets, keep) if not k]:
+def _replace_rows(r: ReturnPanel, f, what: str) -> ReturnPanel:
+    """Standardize the rows of ``f(r.returns)``, dropping zero-variance ones with a warning."""
+    rows, flat = _standardized_rows(r.returns, f)
+    for name in [a for a, k in zip(r.assets, flat) if k]:
         warnings.warn(f"asset {name} has constant {what}; dropped")
-    if not keep.any():
+    if flat.all():
         raise ValueError(f"every asset has a constant {what} series")
-    assets = [a for a, k in zip(r.assets, keep) if k]
-    # rows[keep] is C-ordered whatever the layout of rows; keeping every row
-    # must give the same layout, since standardize's row sums follow it.
-    kept = np.ascontiguousarray(rows) if keep.all() else rows[keep]
-    return standardize(replace(r, assets=assets, returns=_frozen(kept), standardized=False))
+    assets = [a for a, k in zip(r.assets, flat) if not k]
+    rows = rows[~flat] if flat.any() else rows  # a copy only when a row goes
+    return replace(r, assets=assets, returns=_frozen(rows), standardized=True)
 
 
 def signs_only(r: ReturnPanel) -> ReturnPanel:
     """Replace each row by its standardized sign series (deterministic)."""
-    return _replace_rows(r, np.sign(r.returns), "sign")
+    return _replace_rows(r, np.sign, "sign")
 
 
 def magnitudes_only(r: ReturnPanel) -> ReturnPanel:
     """Replace each row by its standardized magnitude series (deterministic)."""
-    return _replace_rows(r, np.abs(r.returns), "magnitude")
+    return _replace_rows(r, np.abs, "magnitude")
 
 
 def apply_surrogate(r: ReturnPanel, spec: SurrogateSpec) -> ReturnPanel:

@@ -286,6 +286,20 @@ class TestWideIngest:
         assert err["type"] == "ValueError"
         assert err["error"] == f"no data rows in {path}"
 
+    def test_infinite_price_names_asset_and_bar(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("t,A,B\n0,100,50\n60,101,inf\n120,102,52\n")
+        with pytest.raises(ValueError, match="non-finite price for asset 'B' at bar 1: inf"):
+            ingest(str(path), "wide", bars_per_day=1)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", str(path), "--format", "wide",
+                   "--bars-per-day", "1", "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "asset 'B' at bar 1" in err["error"]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_unparseable_price_names_line_and_asset(self, tmp_path):
         path = tmp_path / "badprice.csv"
         path.write_text("t,A\n0,100\n60,abc\n")
@@ -310,6 +324,14 @@ class TestLongIngest:
     def test_duplicate_record_names_line(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("t,asset,price\n0,A,100\n0,A,101\n60,A,102\n")
+        with pytest.raises(ValueError, match="line 3.*duplicate"):
+            ingest(str(path), "long", bars_per_day=1)
+
+    @pytest.mark.parametrize("first, second", [("nan", "101"), ("101", "nan"),
+                                               ("nan", "nan")])
+    def test_duplicate_of_a_nan_price_names_line(self, tmp_path, first, second):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"t,asset,price\n0,A,{first}\n0,A,{second}\n60,A,102\n")
         with pytest.raises(ValueError, match="line 3.*duplicate"):
             ingest(str(path), "long", bars_per_day=1)
 
@@ -604,11 +626,23 @@ class TestMainMfdfa:
 
     def test_huge_detrend_order_is_an_error(self, long_panel_file, tmp_path, capsys):
         rc = main(["mfdfa", "--input", long_panel_file, "--detrend-order", "1000000000",
-                   "--out", str(tmp_path / "out")])
+                   "--modes", "3", "--out", str(tmp_path / "out")])
         assert rc == 1
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert "under-determined" in err["error"]
+
+    @pytest.mark.parametrize("modes", [[], ["--modes", "4"],
+                                       ["--modes", "100000000000000000000000"]],
+                             ids=["default", "4", "1e23"])
+    def test_modes_above_n_is_an_error(self, long_panel_file, tmp_path, capsys, modes):
+        out = tmp_path / "out"
+        rc = main(["mfdfa", "--input", long_panel_file, *modes, "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert "--modes" in err["error"] and "N=3" in err["error"]
+        assert not (out / "mfdfa.json").exists()
 
     def test_zero_modes_is_an_error(self, long_panel_file, tmp_path, capsys):
         rc = main(["mfdfa", "--input", long_panel_file, "--modes", "0",

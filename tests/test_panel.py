@@ -18,7 +18,7 @@ from xcorr.panel import (
     PricePanel,
     ReturnPanel,
     _each_block,
-    _row_moments,
+    _standardized_rows,
     coarsen,
     log_returns,
     standardize,
@@ -61,6 +61,11 @@ class TestLogReturns:
     def test_non_positive_price_rejected_with_location(self):
         with pytest.raises(ValueError, match="A1.*bar 2|bar 2.*A1"):
             price_panel([[1.0, 2.0, 3.0], [1.0, 2.0, -3.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_price_rejected_with_location(self, bad):
+        with pytest.raises(ValueError, match="non-finite price for asset 'A1' at bar 2"):
+            price_panel([[1.0, 2.0, 3.0], [1.0, 2.0, bad]])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -307,6 +312,32 @@ class TestLaterRowBlocks:
             ReturnPanel(_assets(), x, True, 1, 60.0)
 
 
+class TestPassCounts:
+    """A construction validates in one pass over the panel; standardize and the
+    sign and magnitude surrogates make one more."""
+
+    @pytest.mark.parametrize("build, passes", [
+        (lambda raw, s: ReturnPanel(s.assets, s.returns, True, 1, 60.0), 1),
+        (lambda raw, s: standardize(raw), 2),
+        (lambda raw, s: xcorr.surrogate.signs_only(raw), 2),
+        (lambda raw, s: xcorr.surrogate.magnitudes_only(raw), 2),
+    ], ids=["standardized_panel", "standardize", "signs_only", "magnitudes_only"])
+    def test_passes_over_the_panel(self, monkeypatch, build, passes):
+        raw = ReturnPanel(_assets(), _rows(), False, 1, 60.0)
+        s = standardize(raw)
+        calls = []
+        each_block = xcorr.panel._each_block
+
+        def counting(fn, x):
+            calls.append(x.shape)
+            return each_block(fn, x)
+
+        monkeypatch.setattr(xcorr.panel, "_each_block", counting)
+        monkeypatch.setattr(xcorr.surrogate, "_each_block", counting)
+        build(raw, s)
+        assert len(calls) == passes
+
+
 @pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
 def helpers(request, monkeypatch):
     """The row-block passes with 0 (serial), 1 or 3 helper threads."""
@@ -327,10 +358,10 @@ def _four_blocks():
 
 def _blocked_outputs(raw):
     s = standardize(raw)
-    means, variances = _row_moments(raw.returns)
+    signs, flat = _standardized_rows(raw.returns, np.sign)
     built = ReturnPanel(s.assets, s.returns, True, s.bars_per_day, s.dt_seconds)
     surrogates = [apply_surrogate(s, SurrogateSpec(kind, 7)).returns for kind in KINDS]
-    return [s.returns, means, variances, built.returns, *surrogates]
+    return [s.returns, signs, flat, built.returns, *surrogates]
 
 
 class TestThreadedRowBlocks:
@@ -503,6 +534,11 @@ class TestAllocationPeaks:
     def test_rotate_free(self, raw):
         s = standardize(raw)
         ratio = self.peak_ratio(lambda: apply_surrogate(s, SurrogateSpec("rotate_free", 3)), s)
+        assert ratio <= 1.25
+
+    @pytest.mark.parametrize("kind", ["signs_only", "magnitudes_only"])
+    def test_sign_and_magnitude_panels(self, raw, kind):
+        ratio = self.peak_ratio(lambda: apply_surrogate(raw, SurrogateSpec(kind)), raw)
         assert ratio <= 1.25
 
     def test_standardized_construction(self, raw):

@@ -175,6 +175,17 @@ def _read_panel_csv(path) -> ReturnPanel:
     )
 
 
+def _timestamp(token, lineno):
+    """A finite timestamp parsed from `token`, or a ValueError naming the line."""
+    try:
+        ts = float(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: unparseable timestamp {token!r}") from None
+    if not math.isfinite(ts):
+        raise ValueError(f"line {lineno}: non-finite timestamp {token!r}")
+    return ts
+
+
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -192,10 +203,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                timestamps.append(float(row[0]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable timestamp {row[0]!r}") from None
+            timestamps.append(_timestamp(row[0], lineno))
             vals = []
             for a, f in zip(assets, row[1:]):
                 f = f.strip()
@@ -234,12 +242,14 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
                 continue
             if len(row) != 3:
                 raise ValueError(f"line {lineno}: expected timestamp,asset,price")
+            ts, asset = _timestamp(row[0], lineno), row[1].strip()
             try:
-                ts = float(row[0])
                 price = float(row[2])
             except ValueError:
-                raise ValueError(f"line {lineno}: unparseable row {row!r}") from None
-            records.append((ts, row[1].strip(), price, lineno))
+                raise ValueError(
+                    f"line {lineno}: unparseable price {row[2]!r} for {asset}"
+                ) from None
+            records.append((ts, asset, price, lineno))
     if not records:
         raise ValueError(f"no data rows in {path}")
 

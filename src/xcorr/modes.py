@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _frozen, standardize
+from .panel import ReturnPanel, _frozen, _row_blocks, standardize
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -122,7 +122,19 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
 
 def _regress_out(r: ReturnPanel, z: Eigensignal):
     """OLS of each asset row on (1, z); returns re-standardized residual panel
-    plus the per-asset coefficients and the names of dropped assets."""
+    plus the per-asset coefficients and the names of dropped assets.
+
+    beta = m @ zc / zc.zc is one whole-panel product: a threaded BLAS can give
+    a block of rows other last bits than the same rows of the whole.  One pass
+    over the row blocks of :func:`xcorr.panel._row_blocks`, on the calling
+    thread, then takes each block while it is in cache through alpha, the
+    residual m - alpha - beta z, its row variance, its dot with z and its
+    scaling to unit variance.  Each element sees the operations of the
+    whole-panel expressions, so the bits are theirs; the residual buffer keeps
+    the panel's layout, which its row variances follow.  The drop warnings,
+    the all-dropped error and the orthogonality check follow the pass, in
+    asset order.
+    """
     series = z.series
     if series.shape != (r.t_length,):
         raise ValueError(
@@ -134,26 +146,34 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     z_mean = series.mean()
     zc = series - z_mean
     m = r.returns
+    n = r.n_assets
     betas = (m @ zc) / (zc @ zc)
-    alphas = m.mean(axis=1) - betas * z_mean
-    resid = m - alphas[:, None] - betas[:, None] * series[None, :]
+    resid = np.empty_like(m)
+    alphas, res_var, dots = np.empty(n), np.empty(n), np.empty(n)
+    for b in _row_blocks(m):
+        e = resid[b]
+        alphas[b] = m[b].mean(axis=1) - betas[b] * z_mean
+        np.subtract(m[b], alphas[b, None], out=e)
+        e -= betas[b, None] * series
+        res_var[b] = e.var(axis=1)
+        dots[b] = e @ series
+        v = res_var[b, None]
+        np.divide(e, np.sqrt(v), out=e, where=v >= RESIDUAL_VAR_TOL)
 
-    res_var = resid.var(axis=1)
     keep = res_var >= RESIDUAL_VAR_TOL
     for name in np.asarray(r.assets)[~keep]:
         warnings.warn(f"asset {name} perfectly explained by removed mode; dropped")
     if not keep.any():
         raise ValueError("all assets perfectly explained by the removed mode")
 
-    kept = resid[keep]
-    dots = np.abs(kept @ series) / (r.t_length * np.sqrt(res_var[keep]) * np.sqrt(z_var))
+    dots = np.abs(dots[keep]) / (r.t_length * np.sqrt(res_var[keep]) * np.sqrt(z_var))
     if dots.max() >= ORTHO_TOL:
         raise ValueError("residuals are not orthogonal to the removed mode within 1e-8")
 
     out = replace(
         r,
         assets=[a for a, k in zip(r.assets, keep) if k],
-        returns=_frozen(kept / np.sqrt(res_var[keep])[:, None]),
+        returns=_frozen(resid if keep.all() and resid.flags.c_contiguous else resid[keep]),
         standardized=True,
     )
     dropped = [a for a, k in zip(r.assets, keep) if not k]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _frozen, standardize
+from .panel import ReturnPanel, _each_block, _frozen, standardize
 
 __all__ = [
     "MarketModel",
@@ -128,7 +128,10 @@ def generate(m: MarketModel) -> ReturnPanel:
 
     Common factors use dedicated streams; each asset's idiosyncratic noise and
     volatility innovations come from a stream keyed by (seed, asset index), so
-    the panel is reproducible regardless of generation order.
+    the panel is reproducible regardless of generation order.  The per-asset
+    draws run as one row-block pass (:func:`xcorr.panel._each_block`), blocks of
+    assets shared out among threads, so the bits do not depend on the thread
+    count.
 
     The log-volatility recursion v_k(j) = a*v_k(j-1) + s*eta_k(j), with
     stationary start v_k(0) = eta_k(0)*s/sqrt(1-a^2), is stepped over time once
@@ -148,15 +151,19 @@ def generate(m: MarketModel) -> ReturnPanel:
     rows = np.empty((m.n_assets, t))
     # Time-major log-volatility buffer: column k holds asset k's innovations.
     v = None if m.vol_clustering is None else np.empty((t, m.n_assets))
-    for k in range(m.n_assets):
-        rng = _stream(m.seed, k)
-        eps = rng.standard_normal(t)
-        g = m.market_loading * market + m.idiosyncratic_sigma * eps
-        if sector_idx[k] >= 0:
-            g = g + sector_beta[k] * sectors[sector_idx[k]]
-        rows[k] = g
-        if v is not None:
-            v[:, k] = rng.standard_normal(t)
+    common = m.market_loading * market
+
+    def draw(b):
+        for k in range(*b.indices(m.n_assets)):
+            rng = _stream(m.seed, k)
+            g = common + m.idiosyncratic_sigma * rng.standard_normal(t)
+            if sector_idx[k] >= 0:
+                g = g + sector_beta[k] * sectors[sector_idx[k]]
+            rows[k] = g
+            if v is not None:
+                v[:, k] = rng.standard_normal(t)
+
+    _each_block(draw, rows)
 
     if v is not None:
         a, s = m.vol_clustering

@@ -347,6 +347,16 @@ class TestLongIngest:
             p = ingest(str(path), "long", bars_per_day=3)
         assert p.prices[1, 7] == p.prices[1, 6]
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,A,abc", "line 2: unparseable price 'abc' for A"),
+        ("soon,A,100", "line 2: unparseable timestamp 'soon'"),
+    ])
+    def test_unparseable_field_names_line_and_token(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,asset,price\n{row}\n60,A,102\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ingest(str(path), "long", bars_per_day=1)
+
     def test_wrong_arity_row_rejected(self, tmp_path):
         path = tmp_path / "arity.csv"
         path.write_text("t,asset,price\n0,A\n")
@@ -933,6 +943,25 @@ class TestMainErrors:
         assert not out.exists() or os.listdir(out) == []
         if target == "file":
             assert path.read_text() == "keep"
+
+    @pytest.mark.parametrize("fmt, text, line, token", [
+        ("long", "t,asset,price\n0,A,100\nnan,A,101\n60,A,102\n", 3, "nan"),
+        ("long", "t,asset,price\n0,A,100\n60,A,101\n-inf,A,102\n", 4, "-inf"),
+        ("wide", "t,A,B\n0,100,50\ninf,101,51\n120,102,52\n", 3, "inf"),
+        ("wide", "t,A,B\n0,100,50\n60,101,51\n NaN,102,52\n", 4, " NaN"),
+    ], ids=["long-nan", "long-minus-inf", "wide-inf", "wide-spaced-nan"])
+    def test_non_finite_timestamp_names_line_and_token(self, tmp_path, capsys,
+                                                       fmt, text, line, token):
+        path = tmp_path / "ts.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", str(path), "--format", fmt,
+                   "--bars-per-day", "1", "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"] == f"line {line}: non-finite timestamp {token!r}"
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--input", str(tmp_path / "nope.csv"),

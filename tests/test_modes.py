@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import xcorr.modes
+import xcorr.panel
 from xcorr.modes import (
     Eigensignal,
     ResidualPanel,
@@ -165,6 +167,119 @@ class TestRemoveMode:
         z = Eigensignal(index=1, series=make_standard_row([1.0, -1.0, 2.0, -2.0]), eigenvalue=1.0)
         with pytest.raises(ValueError, match="length"):
             remove_mode(panel_3x16, z)
+
+
+def _reference_regress_out(r, z):
+    """The whole-panel expressions of one removal pass, kept as the bit-for-bit
+    reference of its row-block form: residual rows, alphas, betas, dropped."""
+    series = z.series
+    z_mean = series.mean()
+    zc = series - z_mean
+    m = r.returns
+    betas = (m @ zc) / (zc @ zc)
+    alphas = m.mean(axis=1) - betas * z_mean
+    resid = m - alphas[:, None] - betas[:, None] * series[None, :]
+    res_var = resid.var(axis=1)
+    keep = res_var >= xcorr.modes.RESIDUAL_VAR_TOL
+    kept = resid[keep]
+    dropped = [a for a, k in zip(r.assets, keep) if not k]
+    return kept / np.sqrt(res_var[keep])[:, None], alphas, betas, dropped
+
+
+@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
+def helpers(request, monkeypatch):
+    """The panel's row-block passes with 0 (serial), 1 or 3 helper threads."""
+    monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
+    return request.param
+
+
+def _factor_panel(order, n=60, t=9000):
+    """A standardized one-factor panel in memory layout `order`.  Its 60 rows
+    are row blocks of 16, 16, 16 and 12; at this shape a threaded BLAS can
+    give a 16-row block's gemv other last bits than the whole panel's."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+    rows = 0.5 * rng.standard_normal(t) + rng.standard_normal((n, t))
+    s = standardize(_panel(rows, bpd=100))
+    p = _panel(np.array(s.returns, order=order), standardized=True, bpd=100)
+    assert p.returns.flags[f"{order}_CONTIGUOUS"]
+    return p
+
+
+def _unit_regressor(t=9000):
+    rng = np.random.Generator(np.random.Philox(key=np.array([18, 0], dtype=np.uint64)))
+    u = make_standard_row(rng.standard_normal(t))
+    return u, Eigensignal(index=1, series=u, eigenvalue=1.0)
+
+
+def _recorded_pass(r, z):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = xcorr.modes._regress_out(r, z)
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+class TestRowBlockRemovalPass:
+    """One removal pass over row blocks gives the bits, warnings and errors of
+    the whole-panel expressions, whatever the layout and helper count."""
+
+    def test_matches_whole_panel_expressions(self, helpers, order):
+        p = _factor_panel(order)
+        (z,) = eigensignals(p, eigendecompose(correlation_matrix(p)), [1])
+        (out, alphas, betas, dropped), caught = _recorded_pass(p, z)
+        ref, ref_alphas, ref_betas, ref_dropped = _reference_regress_out(p, z)
+        assert np.array_equal(out.returns, ref)
+        assert np.array_equal(alphas, ref_alphas)
+        assert np.array_equal(betas, ref_betas)
+        assert dropped == ref_dropped == [] and caught == []
+        assert out.assets == p.assets
+        assert out.returns.flags.c_contiguous
+
+    def test_rows_dropped_in_blocks_1_and_3(self, helpers, order):
+        u, z = _unit_regressor()
+        rows = np.array(_factor_panel("C").returns)
+        rows[20], rows[50] = u, -u
+        p = _panel(np.array(rows, order=order), standardized=True, bpd=100)
+        (out, alphas, betas, dropped), caught = _recorded_pass(p, z)
+        ref, ref_alphas, ref_betas, ref_dropped = _reference_regress_out(p, z)
+        assert np.array_equal(out.returns, ref)
+        assert np.array_equal(alphas, ref_alphas)
+        assert np.array_equal(betas, ref_betas)
+        assert dropped == ref_dropped == ["S20", "S50"]
+        assert caught == [f"asset {a} perfectly explained by removed mode; dropped"
+                          for a in ("S20", "S50")]
+        assert out.assets == [a for a in p.assets if a not in ("S20", "S50")]
+        assert out.returns.flags.c_contiguous
+
+    def test_all_dropped_error_follows_every_warning(self, helpers, order):
+        u, z = _unit_regressor()
+        rows = np.array([u if k % 3 else -u for k in range(40)], order=order)
+        p = _panel(rows, standardized=True, bpd=100)
+        assert _reference_regress_out(p, z)[3] == p.assets
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^all assets perfectly explained"):
+                xcorr.modes._regress_out(p, z)
+        assert [str(w.message) for w in caught] == [
+            f"asset S{k} perfectly explained by removed mode; dropped" for k in range(40)
+        ]
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_three_passes_match_the_reference_chain(self, helpers, order, from_original):
+        p = _factor_panel(order)
+        res = remove_modes_iterative(p, 3, from_original=from_original)
+        current = p
+        zs = eigensignals(p, eigendecompose(correlation_matrix(p)), [1, 2, 3])
+        for k in range(3):
+            if from_original:
+                z = zs[k]
+            else:
+                (z,) = eigensignals(current, eigendecompose(correlation_matrix(current)), [1])
+            ref, ref_alphas, ref_betas, _ = _reference_regress_out(current, z)
+            assert np.array_equal(res.alphas[k], ref_alphas)
+            assert np.array_equal(res.betas[k], ref_betas)
+            current = _panel(ref, standardized=True, bpd=100)
+        assert np.array_equal(res.panel.returns, current.returns)
 
 
 class TestRemoveModesIterative:

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import xcorr.modes
 import xcorr.panel
 import xcorr.surrogate
 import xcorr.synth
@@ -312,28 +313,40 @@ class TestLaterRowBlocks:
             ReturnPanel(_assets(), x, True, 1, 60.0)
 
 
+def _top_signal(s):
+    (z,) = eigensignals(s, eigendecompose(correlation_matrix(s)), [1])
+    return z
+
+
 class TestPassCounts:
-    """A construction validates in one pass over the panel; standardize and the
-    sign and magnitude surrogates make one more."""
+    """A construction validates in one pass over the panel; standardize, the
+    sign and magnitude surrogates and a mode-removal pass make one more."""
 
     @pytest.mark.parametrize("build, passes", [
         (lambda raw, s: ReturnPanel(s.assets, s.returns, True, 1, 60.0), 1),
         (lambda raw, s: standardize(raw), 2),
         (lambda raw, s: xcorr.surrogate.signs_only(raw), 2),
         (lambda raw, s: xcorr.surrogate.magnitudes_only(raw), 2),
-    ], ids=["standardized_panel", "standardize", "signs_only", "magnitudes_only"])
+        (lambda raw, s: xcorr.modes._regress_out(s, _top_signal(s)), 2),
+    ], ids=["standardized_panel", "standardize", "signs_only", "magnitudes_only",
+            "removal_pass"])
     def test_passes_over_the_panel(self, monkeypatch, build, passes):
         raw = ReturnPanel(_assets(), _rows(), False, 1, 60.0)
         s = standardize(raw)
         calls = []
-        each_block = xcorr.panel._each_block
+        each_block, row_blocks = xcorr.panel._each_block, xcorr.panel._row_blocks
 
         def counting(fn, x):
             calls.append(x.shape)
             return each_block(fn, x)
 
+        def counting_blocks(x):
+            calls.append(x.shape)
+            return row_blocks(x)
+
         monkeypatch.setattr(xcorr.panel, "_each_block", counting)
         monkeypatch.setattr(xcorr.surrogate, "_each_block", counting)
+        monkeypatch.setattr(xcorr.modes, "_row_blocks", counting_blocks)
         build(raw, s)
         assert len(calls) == passes
 
@@ -491,7 +504,7 @@ class TestThreadedRowBlocks:
             return recorder
 
         public = {}
-        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth):
+        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth, xcorr.modes):
             for name in mod.__all__:
                 obj = getattr(mod, name)
                 if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
@@ -506,7 +519,11 @@ class TestThreadedRowBlocks:
         s = xcorr.panel.standardize(_four_blocks())
         for kind in KINDS:
             xcorr.surrogate.apply_surrogate(s, SurrogateSpec(kind, 5))
-        assert {"standardize", "ReturnPanel", "apply_surrogate", *KINDS} <= {n for n, _ in calls}
+        g = xcorr.synth.generate(MarketModel(n_assets=50, t_length=500, bars_per_day=10,
+                                             market_loading=0.4, vol_clustering=(0.9, 0.2)))
+        xcorr.modes.remove_modes_iterative(g, 3)
+        assert {"standardize", "ReturnPanel", "apply_surrogate", *KINDS, "generate",
+                "remove_modes_iterative", "eigensignals"} <= {n for n, _ in calls}
         assert {t for _, t in calls} == {threading.main_thread()}
 
 
@@ -540,6 +557,11 @@ class TestAllocationPeaks:
     def test_sign_and_magnitude_panels(self, raw, kind):
         ratio = self.peak_ratio(lambda: apply_surrogate(raw, SurrogateSpec(kind)), raw)
         assert ratio <= 1.25
+
+    def test_removal_pass(self, raw):
+        s = standardize(raw)
+        z = _top_signal(s)
+        assert self.peak_ratio(lambda: xcorr.modes._regress_out(s, z), s) <= 1.25
 
     def test_standardized_construction(self, raw):
         s = standardize(raw)

@@ -1,8 +1,12 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import xcorr.panel
 from xcorr.panel import ReturnPanel, standardize
 from xcorr.spectrum import correlation_matrix, eigendecompose, mp_bounds, overlap_fraction
 from xcorr.synth import (
@@ -160,6 +164,51 @@ class TestGenerate:
     def test_vol_clustering_matches_per_asset_recursion(self, name, overrides):
         m = preset(name, seed=13, t_length=1500, **overrides)
         assert np.array_equal(generate(m).returns, per_asset_reference(m).returns)
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3], ids=lambda h: f"helpers{h}")
+    @pytest.mark.parametrize("name, overrides", [
+        ("one_factor", dict(vol_clustering=(0.97, 0.2))),
+        ("market_sectors", dict(sector_spec=[(20, 0.5), (20, 0.5)],
+                                vol_clustering=(0.9, 0.3))),
+        ("intraday", dict(vol_clustering=(0.8, 0.3))),
+        ("intraday", dict()),
+    ], ids=["one_factor", "sectors", "intraday", "intraday_no_vol"])
+    def test_pooled_draws_match_the_serial_loop(self, monkeypatch, helpers, name, overrides):
+        # 50 assets are row blocks of 16, 16, 16 and 2 shared among threads.
+        m = preset(name, seed=29, n_assets=50, t_length=3000, **overrides)
+        expect = per_asset_reference(m).returns
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        got = generate(m).returns
+        assert np.array_equal(got, expect)
+        assert got.flags.c_contiguous
+
+    def test_pooled_draws_hold_under_contention(self, monkeypatch):
+        # More threads than cores writing disjoint rows and columns of the
+        # shared buffers, switching as often as the interpreter can.
+        m = preset("market_sectors", seed=31, n_assets=100, t_length=400,
+                   sector_spec=[(20, 0.5), (20, 0.5)], vol_clustering=(0.9, 0.3))
+        expect = per_asset_reference(m).returns
+        pool = ThreadPoolExecutor(6)
+        monkeypatch.setattr(xcorr.panel, "_POOL", pool)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", 6)
+        failures = []
+
+        def stress():
+            for _ in range(20):
+                if not np.array_equal(generate(m).returns, expect):
+                    failures.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=stress, daemon=True)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert not t.is_alive()
+        assert failures == []
 
     def test_null_model_matches_random_band(self):
         p = generate(MarketModel(n_assets=30, t_length=3000, bars_per_day=100, seed=0))

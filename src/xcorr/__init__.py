@@ -7,6 +7,18 @@ Marchenko-Pastur bounds), modes (eigensignals and mode removal), surrogate
 cli (command line and file I/O).
 """
 
+import os
+
+# One BLAS thread per process unless the environment says otherwise.  xcorr
+# shares its row blocks and the tiles of C = M M^T among one thread per core
+# itself; BLAS threads on top of those oversubscribe the cores, and the
+# product's last bits would follow the host's thread count.  BLAS reads these
+# variables when numpy is first imported, so they take effect only when
+# xcorr is imported first; an exported value wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .mfdfa import (
     MfdfaConfig,
     SingularitySpectrum,

@@ -26,9 +26,9 @@ VAR_TOL = 1e-8
 _ROW_BLOCK = 16
 
 
-# Threads that take row blocks beside the calling thread, one per other core
-# this process may run on.  The pool starts its threads on first use, so a
-# one-core process never starts one.
+# Threads that take row blocks (and the tiles of spectrum's Gram product)
+# beside the calling thread, one per other core this process may run on.  The
+# pool starts its threads on first use, so a one-core process never starts one.
 try:
     _HELPERS = len(os.sched_getaffinity(0)) - 1
 except AttributeError:  # no sched_getaffinity on this platform
@@ -84,21 +84,26 @@ def _row_blocks(x):
 
 
 def _each_block(fn, x):
-    """``[fn(b) for b in _row_blocks(x)]``, the blocks shared out among threads.
+    """``[fn(b) for b in _row_blocks(x)]``, the blocks shared out among threads
+    by :func:`_each`."""
+    return _each(fn, list(_row_blocks(x)))
+
+
+def _each(fn, items):
+    """``[fn(item) for item in items]``, the items shared out among threads.
 
     The calling thread and up to ``_HELPERS`` pool threads each claim the next
-    block until none is left, so a descheduled thread holds up only its own
-    block.  `fn` must touch only its own rows of any shared output and call
-    only numpy and private helpers.  Every block runs; then the exception of
-    the first failing block in block order is raised, which is the one the
-    serial loop (one block, or no helper thread) stops at.
+    item until none is left, so a descheduled thread holds up only its own
+    item.  `fn` must touch only its own part of any shared output and call
+    only numpy and private helpers.  Every item runs; then the exception of
+    the first failing item in list order is raised, which is the one the
+    serial loop (one item, or no helper thread) stops at.
     """
-    blocks = list(_row_blocks(x))
-    helpers = min(_HELPERS, len(blocks) - 1)
+    helpers = min(_HELPERS, len(items) - 1)
     if helpers < 1:
-        return [fn(b) for b in blocks]
-    results, errors = [None] * len(blocks), [None] * len(blocks)
-    claim, lock = iter(range(len(blocks))), threading.Lock()
+        return [fn(item) for item in items]
+    results, errors = [None] * len(items), [None] * len(items)
+    claim, lock = iter(range(len(items))), threading.Lock()
 
     def work():
         while True:
@@ -107,15 +112,15 @@ def _each_block(fn, x):
             if k is None:
                 return
             try:
-                results[k] = fn(blocks[k])
-            except Exception as exc:  # raised in block order below
+                results[k] = fn(items[k])
+            except Exception as exc:  # raised in list order below
                 errors[k] = exc
 
     futures = [_POOL.submit(work) for _ in range(helpers)]
     try:
         work()
     finally:
-        # Every block is claimed by now; a helper that has not started (its
+        # Every item is claimed by now; a helper that has not started (its
         # thread busy or, after a fork, gone) has nothing left to do.
         for f in futures:
             if not f.cancel():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, standardize
+from .panel import ReturnPanel, _each, standardize
 
 __all__ = [
     "CorrelationMatrix",
@@ -28,6 +28,11 @@ DIAG_TOL = 1e-10
 RANGE_TOL = 1e-10
 TRACE_TOL = 1e-8
 ORTHO_TOL = 1e-8
+
+# Rows per tile of the Gram product M M^T.  The tiling depends only on N, so
+# the bits do not depend on how many threads share the tiles; every N up to
+# 200 is one tile, the single product ``m @ m.T``.
+_GRAM_TILE = 200
 
 
 @dataclass
@@ -164,13 +169,36 @@ class ElementDistribution:
         }
 
 
+def _gram(m):
+    """``m @ m.T`` over the upper triangle of `_GRAM_TILE`-row tiles, the tiles
+    shared out among threads by :func:`xcorr.panel._each`.
+
+    A diagonal tile is one symmetric product (syrk), which numpy mirrors
+    exactly; an off-diagonal tile is one general product written in place and
+    copied to its mirror, so the result is exactly symmetric.
+    """
+    n = m.shape[0]
+    out = np.empty((n, n))
+    starts = range(0, n, _GRAM_TILE)
+    tiles = [(i, j) for i in starts for j in starts if j >= i]
+
+    def tile(ij):
+        i, j = ij
+        a, b = m[i:i + _GRAM_TILE], m[j:j + _GRAM_TILE]
+        blk = np.matmul(a, b.T, out=out[i:i + _GRAM_TILE, j:j + _GRAM_TILE])
+        if i != j:
+            out[j:j + _GRAM_TILE, i:i + _GRAM_TILE] = blk.T
+
+    _each(tile, tiles)
+    return out
+
+
 def correlation_matrix(r: ReturnPanel) -> CorrelationMatrix:
     """Pearson correlation matrix C = (1/T) M M^T of a standardized panel."""
     if not r.standardized:
         raise ValueError("correlation_matrix requires a standardized panel; call standardize() first")
-    m = r.returns
-    c = (m @ m.T) / r.t_length
-    c = 0.5 * (c + c.T)
+    c = _gram(r.returns)
+    c /= r.t_length
     # Normalizing by the realized row scales pins the diagonal at exactly 1;
     # for standardized rows this changes entries only at rounding level.
     d = np.sqrt(np.diag(c))

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -1049,3 +1051,46 @@ def test_fuzzed_argv_exits_cleanly(fuzz_panel_file, argv):
         assert json.loads(err.getvalue().splitlines()[-1])["type"] == "ValueError", \
             (argv, err.getvalue())
         assert not os.path.exists(out) or os.listdir(out) == [], argv
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env(**blas):
+    """This process's environment without the BLAS thread variables, plus `blas`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = SRC
+    env.update(blas)
+    return env
+
+
+class TestBlasThreads:
+    """Importing xcorr before numpy gives BLAS one thread unless the
+    environment names a count, so a default run writes the same bytes on
+    every host."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--preset", "one_factor", "--seed", "3"],
+        ["remove", "--remove-count", "3", "--preset", "one_factor", "--seed", "3"],
+    ], ids=["spectrum", "remove"])
+    def test_default_environment_writes_the_one_thread_bytes(self, tmp_path, argv):
+        outs = []
+        for name, blas in [("unset", {}), ("one", dict.fromkeys(BLAS_VARS, "1"))]:
+            out = tmp_path / name
+            proc = subprocess.run([sys.executable, "-m", "xcorr.cli", *argv, "--out", str(out)],
+                                  env=_env(**blas), capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = sorted(os.listdir(outs[0]))
+        assert "config.json" in names
+        assert sorted(os.listdir(outs[1])) == names
+        for name in names:
+            assert _read(outs[0] / name) == _read(outs[1] / name), name
+
+    def test_an_exported_thread_count_wins(self):
+        code = "import xcorr, os; print([os.environ[v] for v in %r])" % (BLAS_VARS,)
+        proc = subprocess.run([sys.executable, "-c", code], env=_env(OPENBLAS_NUM_THREADS="2"),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['2', '1', '1']"

@@ -11,6 +11,7 @@ import pytest
 
 import xcorr.modes
 import xcorr.panel
+import xcorr.spectrum
 import xcorr.surrogate
 import xcorr.synth
 from xcorr.cli import ingest
@@ -504,7 +505,7 @@ class TestThreadedRowBlocks:
             return recorder
 
         public = {}
-        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth, xcorr.modes):
+        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth, xcorr.modes, xcorr.spectrum):
             for name in mod.__all__:
                 obj = getattr(mod, name)
                 if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
@@ -522,8 +523,11 @@ class TestThreadedRowBlocks:
         g = xcorr.synth.generate(MarketModel(n_assets=50, t_length=500, bars_per_day=10,
                                              market_loading=0.4, vol_clustering=(0.9, 0.2)))
         xcorr.modes.remove_modes_iterative(g, 3)
+        wide = ReturnPanel(_assets(433), _rows(433, 200), False, 10, 60.0)
+        xcorr.spectrum.correlation_matrix(xcorr.panel.standardize(wide))  # six Gram tiles
         assert {"standardize", "ReturnPanel", "apply_surrogate", *KINDS, "generate",
-                "remove_modes_iterative", "eigensignals"} <= {n for n, _ in calls}
+                "remove_modes_iterative", "eigensignals",
+                "correlation_matrix"} <= {n for n, _ in calls}
         assert {t for _, t in calls} == {threading.main_thread()}
 
 

@@ -1,11 +1,16 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import xcorr.panel
 import xcorr.spectrum
 from xcorr.panel import ReturnPanel, standardize
 from xcorr.spectrum import (
+    TRACE_TOL,
     CorrelationMatrix,
     EigenSpectrum,
     MpBounds,
@@ -98,6 +103,91 @@ class TestCorrelationMatrix:
         c = correlation_matrix(panel_3x16)
         with pytest.raises(ValueError):
             c.values[0, 1] = 0.0
+
+
+def _reference_correlation(r):
+    """correlation_matrix as one untiled product, symmetrized by averaging."""
+    m = r.returns
+    c = (m @ m.T) / r.t_length
+    c = 0.5 * (c + c.T)
+    d = np.sqrt(np.diag(c))
+    c = c / np.outer(d, d)
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+def _factor_panel(n, order, t=600, seed=5):
+    """A standardized one-factor panel of n assets, C- or F-ordered."""
+    rng = np.random.default_rng(seed + n)
+    x = rng.standard_normal((n, t)) + 0.4 * rng.standard_normal(t)
+    r = standardize(_panel(np.asarray(x, order=order)))
+    assert r.returns.flags[f"{order}_CONTIGUOUS"]
+    return r
+
+
+def _with_helpers(monkeypatch, helpers, r):
+    monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+    return correlation_matrix(r).values
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+class TestTiledGram:
+    """C = M M^T / T over 200-row tiles shared out among the row-block threads."""
+
+    @pytest.mark.parametrize("n", [3, 100, 200])
+    def test_one_tile_is_the_untiled_product(self, order, n):
+        r = _factor_panel(n, order)
+        m = r.returns
+        # numpy mirrors the triangle of m @ m.T exactly, so averaging with
+        # the transpose changed no bit.
+        assert np.array_equal(m @ m.T, (m @ m.T).T)
+        assert np.array_equal(correlation_matrix(r).values, _reference_correlation(r))
+
+    @pytest.mark.parametrize("n", [201, 400, 433])
+    def test_many_tiles_match_the_untiled_product(self, order, n):
+        r = _factor_panel(n, order)
+        assert np.abs(correlation_matrix(r).values - _reference_correlation(r)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 200, 201, 433])
+    def test_exactly_symmetric_unit_diagonal_and_trace(self, order, n):
+        c = correlation_matrix(_factor_panel(n, order)).values
+        assert np.array_equal(c, c.T)
+        assert (np.diag(c) == 1.0).all()
+        assert abs(np.trace(c) - n) < TRACE_TOL
+
+    @pytest.mark.parametrize("n", [200, 433])
+    def test_bits_do_not_depend_on_the_helper_count(self, monkeypatch, order, n):
+        r = _factor_panel(n, order)
+        serial = _with_helpers(monkeypatch, 0, r)
+        for helpers in (1, 6):
+            assert np.array_equal(_with_helpers(monkeypatch, helpers, r), serial)
+
+    def test_bits_hold_under_contention(self, monkeypatch, order):
+        # More threads than cores claiming the six tiles of N = 433,
+        # switching as often as the interpreter can.
+        r = _factor_panel(433, order, t=300)
+        expect = _with_helpers(monkeypatch, 0, r)
+        pool = ThreadPoolExecutor(6)
+        monkeypatch.setattr(xcorr.panel, "_POOL", pool)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", 6)
+        failures = []
+
+        def stress():
+            for _ in range(20):
+                if not np.array_equal(correlation_matrix(r).values, expect):
+                    failures.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t = threading.Thread(target=stress, daemon=True)
+            t.start()
+            t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert not t.is_alive()
+        assert failures == []
 
 
 class TestEigendecompose:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import json
 import math
 import operator
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import warnings
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import panel as _panel
 from .mfdfa import MfdfaConfig, _geometric_scales, analyze, average_spectra
 from .modes import eigensignals, remove_modes_iterative
 from .panel import PricePanel, ReturnPanel, _frozen, coarsen, log_returns, standardize
@@ -46,6 +49,7 @@ MISSING_DROP_FRACTION = 0.05
 MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
 _EXPORT_BLOCK = 1024
+_PIPE_CHUNK = 1 << 20
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -67,8 +71,12 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
     Values are written with repr() so a read back is bit-identical.  Layout:
     comment header lines, then `bar,<asset>,...` and one row per time index.
     Rows are formatted in blocks of _EXPORT_BLOCK bars, so only one block of
-    Python floats exists at a time.
+    Python floats exists at a time.  The bars are cut into parts formatted on
+    every core by :func:`_in_parts`; a forked child's text goes from its pipe
+    to the file in chunks of at most _PIPE_CHUNK bytes.
     """
+    _check_names(r.assets, f"panel file {path}")
+    x = r.returns
     with open(path, "w", newline="") as fh:
         fh.write(f"# {PANEL_MAGIC}\n")
         fh.write(f"# standardized: {'true' if r.standardized else 'false'}\n")
@@ -76,16 +84,145 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
         fh.write(f"# dt_seconds: {float(r.dt_seconds)!r}\n")
         for line in extra_comments:
             fh.write(f"# {line}\n")
-        fh.write("bar," + ",".join(str(a) for a in r.assets) + "\n")
-        for s in range(0, r.t_length, _EXPORT_BLOCK):
-            rows = r.returns[:, s:s + _EXPORT_BLOCK].T.tolist()
-            fh.writelines(f"{j},{','.join(map(repr, row))}\n"
-                          for j, row in enumerate(rows, start=s))
+        fh.write("bar," + ",".join(r.assets) + "\n")
+        fh.flush()
+        body = fh.buffer  # the bar lines are ASCII, so their bytes go straight in
+        sent = {}  # bytes of each child's part that reached the file
+
+        def own(lo, hi):
+            # What a failed child sent is a prefix of this text (it writes only
+            # a whole, finished buffer), so the rest follows it: no seek, and
+            # the path may be a pipe.
+            skip = sent.get(lo, 0)
+            for line in _bar_lines(x, lo, hi):
+                body.write(line[skip:])
+                skip = max(0, skip - len(line))
+
+        def text(lo, hi):  # in a child: one buffer, grown in place
+            buf = bytearray()
+            for line in _bar_lines(x, lo, hi):
+                buf += line
+            return buf
+
+        def take(lo, hi, fd):
+            sent[lo] = 0
+            while chunk := os.read(fd, _PIPE_CHUNK):
+                sent[lo] += body.write(chunk)
+            return True
+
+        _in_parts(x.shape[1], text, take, own)
 
 
-def _check_unique(assets, where):
+def _bar_lines(x, lo, hi):
+    """The panel CSV lines of bars lo..hi of the returns `x`, as ASCII bytes;
+    the floats of one block of _EXPORT_BLOCK bars exist at a time."""
+    for s in range(lo, hi, _EXPORT_BLOCK):
+        rows = x[:, s:min(s + _EXPORT_BLOCK, hi)].T.tolist()
+        for j, row in enumerate(rows, start=s):
+            yield f"{j},{','.join(map(repr, row))}\n".encode()
+
+
+def _in_parts(n, emit, take, own):
+    """Do a job over ``range(n)`` in contiguous parts, one per core, the parts
+    after the first in forked children; each part is taken in part order.
+
+    ``own(lo, hi)`` does the part ``[lo, hi)`` in the calling process.  A child
+    runs ``emit(lo, hi)``, which returns the part as a bytes-like object,
+    writes it to a pipe and leaves only through ``os._exit``.  In the caller,
+    ``take(lo, hi, fd)`` reads that pipe and says whether the part was whole.
+    A part whose child failed (an exit status other than 0, or a short read) is
+    redone by ``own``, so every error, and its order, is the serial loop's.
+
+    There are ``1 + panel._HELPERS`` parts (a child process has its own GIL),
+    none shorter than _EXPORT_BLOCK, and one where ``os.fork`` is missing.
+    A forked child reads the caller's data where it lies, with nothing to
+    pickle; it calls only numpy and the float and text builtins, no lock the
+    idle row-block threads could hold.  Every child is reaped before this
+    returns, and killed first if it raises.
+    """
+    k = max(1, min(1 + _panel._HELPERS, n // _EXPORT_BLOCK)) if hasattr(os, "fork") else 1
+    cuts = [n * i // k for i in range(k + 1)]
+    parts = list(zip(cuts[:-1], cuts[1:]))
+    children = []  # [pid, fd] of each part after the first; None: not forked
+    try:
+        for lo, hi in parts[1:]:
+            children.append(_fork_part(emit, lo, hi))
+        own(*parts[0])
+        for (lo, hi), child in zip(parts[1:], children):
+            whole = False
+            if child is not None:
+                whole = take(lo, hi, child[1])
+                os.close(child[1])
+                child[1] = None
+                whole = os.waitpid(child[0], 0)[1] == 0 and whole
+                child[0] = None
+            if not whole:
+                own(lo, hi)
+    finally:
+        for child in filter(None, children):
+            pid, fd = child
+            if fd is not None:
+                os.close(fd)
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_part(emit, lo, hi):
+    """Fork a child that writes ``emit(lo, hi)`` to a pipe; [pid, read fd], or
+    None if the fork failed (the caller then does the part)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # a collection would touch, and so copy, the parent's heap
+            os.close(r)
+            data = memoryview(emit(lo, hi)).cast("B")
+            while data:
+                data = data[os.write(w, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return [pid, r]
+
+
+def _rows_in_parts(parse, n_rows, n_cols):
+    """A (n_rows, n_cols) float64 array whose rows lo..hi are ``parse(lo, hi)``,
+    the parts parsed in forked children by :func:`_in_parts`."""
+    out = np.empty((n_rows, n_cols))
+
+    def own(lo, hi):
+        out[lo:hi] = parse(lo, hi)
+
+    def take(lo, hi, fd):
+        view = memoryview(out[lo:hi]).cast("B")
+        while view:
+            got = os.readv(fd, [view])
+            if not got:
+                return False
+            view = view[got:]
+        return True
+
+    _in_parts(n_rows, parse, take, own)
+    return out
+
+
+def _check_names(names, where):
+    """Each asset name must be non-empty, free of ',', '\\r' and '\\n' (a panel
+    CSV header could not carry it) and unique; else a ValueError naming `where`."""
     seen = set()
-    for a in assets:
+    for a in names:
+        bad = next((c for c in ",\r\n" if c in a), None)
+        if not a or bad:
+            why = "is empty" if not a else f"contains {bad!r}"
+            raise ValueError(f"{where}: asset name {a!r} {why}; a panel CSV cannot carry it")
         if a in seen:
             raise ValueError(f"{where}: duplicate asset name {a!r} in header")
         seen.add(a)
@@ -136,7 +273,7 @@ def _read_panel_csv(path) -> ReturnPanel:
                 header = line.split(",")
                 if header[0] != "bar" or len(header) < 2:
                     raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
-                _check_unique(header[1:], f"line {lineno}")
+                _check_names(header[1:], f"line {lineno}")
                 commas = len(header) - 1
                 continue
             if line.count(",") != commas:
@@ -156,8 +293,10 @@ def _read_panel_csv(path) -> ReturnPanel:
         )
     bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
     dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
+    n_fields = len(header)
     try:
-        values = _parse_panel_rows(lines, len(header))
+        values = _rows_in_parts(lambda lo, hi: _parse_panel_rows(lines[lo:hi], n_fields),
+                                len(lines), n_fields - 1)
     except ValueError:
         # Find the first bad line with the same parser, one line at a time.
         for line, lineno in zip(lines, linenos):
@@ -196,37 +335,62 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
         if len(header) < 2:
             raise ValueError("wide CSV needs a time column plus at least one asset")
         assets = [a.strip() for a in header[1:]]
-        _check_unique(assets, "line 1")
-        timestamps, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            timestamps.append(_timestamp(row[0], lineno))
-            vals = []
-            for a, f in zip(assets, row[1:]):
-                f = f.strip()
-                if not f:
-                    vals.append(np.nan)
+        _check_names(assets, "line 1")
+        # Each row's price cells are kept as one comma-joined string, not one
+        # object per cell; a row with a comma inside a cell holds no price.
+        timestamps, rows, linenos = [], [], []
+        stop = None  # the first bad line's error, raised after the prices before it
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not f.strip() for f in row):
                     continue
-                try:
-                    vals.append(float(f))
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: unparseable price {f!r} for {a}"
-                    ) from None
-            rows.append(vals)
+                if len(row) != len(header):
+                    raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                timestamps.append(_timestamp(row[0], lineno))
+                cells = ",".join(row[1:])
+                if cells.count(",") != len(row) - 2:
+                    for a, c in zip(assets, row[1:]):
+                        _price(c, a, lineno)  # raises at the first bad cell
+                rows.append(cells)
+                linenos.append(lineno)
+        except (ValueError, csv.Error) as exc:
+            stop = exc
+    values = _rows_in_parts(lambda lo, hi: _price_rows(rows[lo:hi], linenos[lo:hi], assets),
+                            len(rows), len(assets))
+    if stop is not None:
+        raise stop
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    prices = np.array(rows, dtype=float).T
-    prices, assets = _fill_missing(prices, assets)
+    prices, assets = _fill_missing(values.T, assets)
     return PricePanel(
         assets=assets,
         timestamps=np.array(timestamps, dtype=float),
         prices=prices,
         bars_per_day=bars_per_day,
     )
+
+
+def _price_rows(rows, linenos, assets):
+    """Comma-joined wide CSV price cells as float64 rows, NaN for a blank cell."""
+    out = np.empty((len(rows), len(assets)))
+    for k, row in enumerate(rows):
+        cells = row.split(",")
+        try:
+            out[k] = list(map(float, cells))  # float() strips what strip() would
+        except ValueError:  # a blank cell, or a bad one: one cell at a time
+            out[k] = [_price(c, a, linenos[k]) for a, c in zip(assets, cells)]
+    return out
+
+
+def _price(cell, asset, lineno):
+    """One wide CSV price cell: NaN if blank, else a float or a ValueError naming the line."""
+    cell = cell.strip()
+    if not cell:
+        return np.nan
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"line {lineno}: unparseable price {cell!r} for {asset}") from None
 
 
 def _read_long_csv(path, bars_per_day) -> PricePanel:
@@ -237,12 +401,16 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
         records = []
+        asset_index = {}  # asset name -> row, in order of first appearance
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not f.strip() for f in row):
                 continue
             if len(row) != 3:
                 raise ValueError(f"line {lineno}: expected timestamp,asset,price")
             ts, asset = _timestamp(row[0], lineno), row[1].strip()
+            if asset not in asset_index:
+                _check_names([asset], f"line {lineno}")
+                asset_index[asset] = len(asset_index)
             try:
                 price = float(row[2])
             except ValueError:
@@ -255,11 +423,7 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
 
     grid = sorted({ts for ts, _, _, _ in records})
     grid_index = {ts: i for i, ts in enumerate(grid)}
-    assets = []
-    for _, asset, _, _ in records:
-        if asset not in assets:
-            assets.append(asset)
-    asset_index = {a: i for i, a in enumerate(assets)}
+    assets = list(asset_index)
 
     prices = np.full((len(assets), len(grid)), np.nan)
     filled = np.zeros(prices.shape, dtype=bool)

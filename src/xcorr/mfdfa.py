@@ -7,6 +7,7 @@ generalized Hurst exponents h(q) -> Legendre singularity spectrum f(alpha).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -195,6 +196,15 @@ def profile(x) -> np.ndarray:
     return y
 
 
+@functools.lru_cache(maxsize=128)
+def _detrend_basis(n, l):
+    """Orthonormal basis of the order-l polynomials on n centered coordinates
+    (conditioned at large n), read-only: every series shares one per scale."""
+    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True))
+    basis.setflags(write=False)
+    return basis
+
+
 def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     """Detrended variances of all length-n segments, from both ends.
 
@@ -218,9 +228,8 @@ def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     bwd = y[y.size - m * n :].reshape(m, n)
     segments = np.vstack([fwd, bwd])
 
-    # Orthonormal basis of the order-l polynomials on centered coordinates
-    # (conditioned at large n); the trend is each segment's projection on it.
-    basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True))
+    # The trend is each segment's projection on the polynomial basis.
+    basis = _detrend_basis(n, l)
     resid = segments - (segments @ basis) @ basis.T
     return (resid**2).mean(axis=1)
 

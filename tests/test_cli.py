@@ -374,6 +374,62 @@ class TestLongIngest:
             ingest("/nonexistent/file.csv", "panel")
 
 
+def _wide_text(header, rows=10):
+    return header + "\n" + "".join(
+        f"{j * 60},{100 + j},{50 + j}{',7' if header.count(',') == 3 else ''}\n"
+        for j in range(rows))
+
+
+class TestAssetNames:
+    """An asset name a panel CSV header cannot carry is an input error."""
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("wide", _wide_text('timestamp,"A,1",B,'), "line 1: asset name 'A,1' contains ','"),
+        ("wide", _wide_text("timestamp,A,B,"), "line 1: asset name '' is empty"),
+        ("wide", _wide_text('timestamp,A,"B\nC"'), "line 1: asset name 'B\\nC' contains '\\n'"),
+        ("wide", _wide_text('timestamp,A,"B\rC"'), "line 1: asset name 'B\\rC' contains '\\r'"),
+        ("wide", _wide_text("timestamp,A, A "), "line 1: duplicate asset name 'A'"),
+        ("long", 't,asset,price\n0,A,100\n0,"B,2",50\n60,A,101\n',
+         "line 3: asset name 'B,2' contains ','"),
+        ("long", "t,asset,price\n0,A,100\n0, ,50\n60,A,101\n", "line 3: asset name '' is empty"),
+        ("panel", "# xcorr-panel-v1\nbar,A,B,\n0,1.0,2.0,3.0\n1,2.0,1.0,0.5\n",
+         "line 2: asset name '' is empty"),
+        ("panel", "# xcorr-panel-v1\nbar,A,,B\n0,1.0,2.0,3.0\n1,2.0,1.0,0.5\n",
+         "line 2: asset name '' is empty"),
+    ], ids=["wide-comma", "wide-empty", "wide-newline", "wide-cr", "wide-duplicate",
+            "long-comma", "long-empty", "panel-trailing", "panel-empty"])
+    def test_remove_exits_1_with_empty_out(self, tmp_path, capsys, fmt, text, message):
+        path = tmp_path / "in.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        out = tmp_path / "out"
+        argv = ["remove", "--input", str(path), "--format", fmt, "--out", str(out)]
+        if fmt != "panel":
+            argv += ["--bars-per-day", "10"]
+        assert main(argv) == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith(message), err["error"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["A,1", "", "B\n", "C\r"])
+    def test_export_rejects_name_before_opening_the_file(self, tmp_path, panel_4x64, name):
+        r = ReturnPanel(assets=["X", name, "Y", "Z"], returns=panel_4x64.returns,
+                        standardized=True, bars_per_day=8, dt_seconds=60.0)
+        path = tmp_path / "panel.csv"
+        with pytest.raises(ValueError) as exc:
+            export_panel(r, path)
+        assert str(exc.value).startswith(f"panel file {path}: asset name {name!r}")
+        assert not path.exists()
+
+    def test_export_rejects_duplicate_name(self, tmp_path, panel_4x64):
+        r = ReturnPanel(assets=["X", "Y", "X", "Z"], returns=panel_4x64.returns,
+                        standardized=True, bars_per_day=8, dt_seconds=60.0)
+        with pytest.raises(ValueError, match="duplicate asset name 'X'"):
+            export_panel(r, tmp_path / "panel.csv")
+        assert not (tmp_path / "panel.csv").exists()
+
+
 class TestMainSpectrum:
     def test_artifacts_and_consistency(self, panel_file, tmp_path):
         out = tmp_path / "out"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import xcorr.mfdfa
 from xcorr.mfdfa import (
     FluctuationSurface,
     MfdfaConfig,
@@ -108,6 +109,31 @@ class TestSegmentVariances:
         y = profile(_white_noise(64))
         with pytest.raises(ValueError, match="order"):
             segment_variances(y, 8, l=0)
+
+
+class TestDetrendBasis:
+    def test_cached_basis_gives_the_bits_of_the_uncached_expression(self, monkeypatch):
+        x = _white_noise(4000)
+        cfg = MfdfaConfig(detrend_order=3)
+        cached = [analyze(x), analyze(x, cfg)]
+
+        def uncached(n, l):
+            basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1,
+                                              increasing=True))
+            return basis
+
+        monkeypatch.setattr(xcorr.mfdfa, "_detrend_basis", uncached)
+        fresh = [analyze(x), analyze(x, cfg)]
+        for (s0, p0), (s1, p1) in zip(cached, fresh):
+            assert np.array_equal(s0.values, s1.values)
+            for key in ("h", "alpha", "f"):
+                assert np.array_equal(getattr(p0, key), getattr(p1, key)), key
+
+    def test_basis_is_shared_and_read_only(self):
+        b = xcorr.mfdfa._detrend_basis(40, 2)
+        assert b is xcorr.mfdfa._detrend_basis(40, 2)
+        assert not b.flags.writeable
+        assert b.shape == (40, 3)
 
 
 class TestFluctuation:

@@ -194,20 +194,22 @@ def _fork_part(emit, lo, hi):
 
 
 def _rows_in_parts(parse, n_rows, n_cols):
-    """A (n_rows, n_cols) float64 array whose rows lo..hi are ``parse(lo, hi)``,
-    the parts parsed in forked children by :func:`_in_parts`."""
-    out = np.empty((n_rows, n_cols))
+    """A C-ordered (n_cols, n_rows) float64 array whose columns lo..hi are the rows
+    of ``parse(lo, hi)``, the parts parsed in forked children by :func:`_in_parts`."""
+    out = np.empty((n_cols, n_rows))
 
     def own(lo, hi):
-        out[lo:hi] = parse(lo, hi)
+        out[:, lo:hi] = parse(lo, hi).T
 
     def take(lo, hi, fd):
-        view = memoryview(out[lo:hi]).cast("B")
+        part = np.empty((hi - lo, n_cols))
+        view = memoryview(part).cast("B")
         while view:
             got = os.readv(fd, [view])
             if not got:
                 return False
             view = view[got:]
+        out[:, lo:hi] = part.T
         return True
 
     _in_parts(n_rows, parse, take, own)
@@ -307,7 +309,7 @@ def _read_panel_csv(path) -> ReturnPanel:
         raise
     return ReturnPanel(
         assets=header[1:],
-        returns=_frozen(values).T,
+        returns=_frozen(values),
         standardized=standardized == "true",
         bars_per_day=bars_per_day,
         dt_seconds=dt_seconds,
@@ -361,7 +363,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
         raise stop
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    prices, assets = _fill_missing(values.T, assets)
+    prices, assets = _fill_missing(values, assets)
     return PricePanel(
         assets=assets,
         timestamps=np.array(timestamps, dtype=float),

@@ -83,8 +83,10 @@ class MfdfaConfig:
             raise ValueError("detrend_order must be a positive integer")
         if self.scale_grid is not None:
             s = np.array(self.scale_grid, dtype=int)
-            if s.ndim != 1 or s.size < 2:
+            if s.ndim != 1:
                 raise ValueError("scale_grid must be a 1-D array of segment lengths")
+            if s.size < 5:
+                raise ValueError(f"need at least 5 scales to fit h(q), got {s.size}")
             if (np.diff(s) <= 0).any():
                 raise ValueError("scales must be strictly increasing")
             if s[0] < self.detrend_order + 2:

@@ -130,8 +130,7 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     thread, then takes each block while it is in cache through alpha, the
     residual m - alpha - beta z, its row variance, its dot with z and its
     scaling to unit variance.  Each element sees the operations of the
-    whole-panel expressions, so the bits are theirs; the residual buffer keeps
-    the panel's layout, which its row variances follow.  The drop warnings,
+    whole-panel expressions, so the bits are theirs.  The drop warnings,
     the all-dropped error and the orthogonality check follow the pass, in
     asset order.
     """
@@ -173,7 +172,7 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     out = replace(
         r,
         assets=[a for a, k in zip(r.assets, keep) if k],
-        returns=_frozen(resid if keep.all() and resid.flags.c_contiguous else resid[keep]),
+        returns=_frozen(resid if keep.all() else resid[keep]),
         standardized=True,
     )
     dropped = [a for a, k in zip(r.assets, keep) if not k]

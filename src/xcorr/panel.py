@@ -21,8 +21,8 @@ __all__ = [
 MEAN_TOL = 1e-10
 VAR_TOL = 1e-8
 
-# Rows per block of a pass over a C-ordered panel: 16 rows of T = 40600 are
-# about 5 MB, so each block's temporaries stay in cache.
+# Rows per block of a pass over a panel: 16 rows of T = 40600 are about 5 MB,
+# so each block's temporaries stay in cache.
 _ROW_BLOCK = 16
 
 
@@ -51,17 +51,17 @@ def _is_frozen(arr):
 
 
 def _as_matrix(values, name):
-    """The values as a read-only float array.
+    """The values as a read-only, C-ordered float array.
 
-    A frozen array (see :func:`_is_frozen`; :func:`_frozen` leaves one) is
-    taken as it is: nothing else can write to it.  Anything else is copied,
-    keeping its memory layout, and the copy is frozen.
+    A frozen C-contiguous array (see :func:`_is_frozen`; :func:`_frozen`
+    leaves one) is taken as it is: nothing else can write to it.  Anything
+    else is copied into C order, and the copy is frozen.
     """
-    if _is_frozen(values):
+    if _is_frozen(values) and values.flags.c_contiguous:
         arr = values
     else:
         try:
-            arr = np.array(values, dtype=float)
+            arr = np.array(values, dtype=float, order="C")
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{name} has ragged rows or non-numeric entries: {exc}") from None
     if arr.ndim != 2:
@@ -71,16 +71,13 @@ def _as_matrix(values, name):
 
 
 def _row_blocks(x):
-    """Slices of rows that together cover `x`, one cache-sized block each.
-
-    A block of a C-ordered array is contiguous, and each row's reductions see
-    the same values in the same order as over the whole array, so the bits
-    agree.  A row block of any other layout is strided, so it is one block.
+    """Slices of `_ROW_BLOCK` rows that together cover `x`, one cache-sized
+    block each.  A panel's array is C-ordered (see :func:`_as_matrix`), so a
+    block is contiguous and each row's reductions see the same values in the
+    same order as over the whole array: the bits agree.
     """
-    n = x.shape[0]
-    step = _ROW_BLOCK if x.flags.c_contiguous else n
-    for start in range(0, n, step):
-        yield slice(start, start + step)
+    for start in range(0, x.shape[0], _ROW_BLOCK):
+        yield slice(start, start + _ROW_BLOCK)
 
 
 def _each_block(fn, x):
@@ -140,11 +137,10 @@ def _each(fn, items):
 def _standardized_rows(x, f=None):
     """``(y - y.mean(1)) / y.std(1)`` for ``y = f(x)`` (or `x`), bit for bit, in
     one row-block pass, and a mask of the zero-variance rows, which are left
-    centred rather than divided.  Without `f` the output keeps the layout of
-    `x`, whose row sums follow it; with `f` it is C-ordered.
+    centred rather than divided.
     """
     n, t = x.shape
-    out = np.empty_like(x) if f is None else np.empty((n, t))
+    out = np.empty((n, t))
     flat = np.empty(n, dtype=bool)
 
     def scale(b):
@@ -223,8 +219,9 @@ class ReturnPanel:
     """N return series of common length T, optionally standardized per row.
 
     A standardized panel has row mean 0 and population variance 1 (divisor T),
-    which makes the correlation matrix exactly (1/T) M M^T. Arrays are
-    read-only; operations return new panels.
+    which makes the correlation matrix exactly (1/T) M M^T. A panel always
+    holds a C-ordered array and copies any other input into C order. Arrays
+    are read-only; operations return new panels.
     """
 
     assets: list

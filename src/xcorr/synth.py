@@ -172,8 +172,7 @@ def generate(m: MarketModel) -> ReturnPanel:
         for j in range(1, t):
             v[j] += a * v[j - 1]
         np.exp(v, out=v)
-        # In place, so rows stays C-ordered: standardize sums each row in
-        # memory order, and an F-ordered product would change the last bits.
+        # In place, so no second (N, T) array is made.
         rows *= v.T
         del v
 

@@ -101,19 +101,19 @@ class TestPanelRoundTrip:
         _reference_export(p, tmp_path / "ref.csv", extra_comments=["config_hash: abc"])
         assert _read(tmp_path / "new.csv") == _read(tmp_path / "ref.csv")
 
-    def test_read_back_is_f_contiguous(self, panel_file):
-        # standardize's row sums depend on the memory layout; artifacts made
-        # from a panel file stay byte-identical only while a read is F-ordered.
+    def test_read_back_is_c_contiguous(self, panel_file):
+        # Every row block of a panel is contiguous, so a panel read from a
+        # file gives the bits of the same panel held in memory.
         back = ingest(panel_file, "panel")
-        assert back.returns.flags.f_contiguous and not back.returns.flags.c_contiguous
+        assert back.returns.flags.c_contiguous and not back.returns.flags.f_contiguous
 
     def test_read_back_shares_no_writable_memory(self, panel_file):
-        # The reader hands the panel a frozen view of the parsed array, not a copy.
+        # The reader builds one C-ordered array, which the panel takes as it
+        # is: the panel owns it and nothing can write to it.
         back = ingest(panel_file, "panel")
-        owner = back.returns.base
-        assert owner is not None and owner.base is None
-        assert not back.returns.flags.writeable and not owner.flags.writeable
-        assert back.returns.flags.f_contiguous
+        assert back.returns.base is None and back.returns.flags.owndata
+        assert not back.returns.flags.writeable
+        assert back.returns.flags.c_contiguous
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(arrays(np.float64,
@@ -125,7 +125,7 @@ class TestPanelRoundTrip:
             export_panel(_panel(rows), path)
             back = ingest(path, "panel")
         assert back.returns.tobytes() == rows.tobytes()
-        assert back.returns.flags.f_contiguous
+        assert back.returns.flags.c_contiguous
 
     def test_crlf_file_reads_the_same(self, panel_file, tmp_path):
         crlf = tmp_path / "crlf.csv"
@@ -975,6 +975,16 @@ class TestMainErrors:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert flag in err["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scales, got", [("10,20,40", 3), ("100", 1)])
+    def test_short_scale_grid_fails_before_the_run(self, tmp_path, capsys, scales, got):
+        out = tmp_path / "out"
+        rc = main(["mfdfa", "--preset", "one_factor", "--scales", scales, "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"] == f"need at least 5 scales to fit h(q), got {got}"
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, target", [

@@ -209,11 +209,14 @@ class TestConfig:
             cfg.resolved_scales(1000)
 
     def test_resolved_scales_needs_five_scales(self):
-        cfg = MfdfaConfig(scale_grid=np.array([16, 32, 64, 128]))
+        # A given grid is checked when the config is built; the default grid
+        # of a short series (16, 17 and 18 for length 360) when it is resolved.
+        with pytest.raises(ValueError, match="at least 5 scales to fit h\\(q\\), got 4"):
+            MfdfaConfig(scale_grid=np.array([16, 32, 64, 128]))
+        with pytest.raises(ValueError, match="at least 5 scales to fit h\\(q\\), got 3"):
+            MfdfaConfig().resolved_scales(360)
         with pytest.raises(ValueError, match="at least 5 scales"):
-            cfg.resolved_scales(4000)
-        with pytest.raises(ValueError, match="at least 5 scales"):
-            analyze(_white_noise(4000), cfg)
+            analyze(_white_noise(360), MfdfaConfig())
 
     def test_short_series_has_no_default_scales(self):
         with pytest.raises(ValueError, match="too short"):

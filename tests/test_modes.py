@@ -194,14 +194,16 @@ def helpers(request, monkeypatch):
 
 
 def _factor_panel(order, n=60, t=9000):
-    """A standardized one-factor panel in memory layout `order`.  Its 60 rows
-    are row blocks of 16, 16, 16 and 12; at this shape a threaded BLAS can
-    give a 16-row block's gemv other last bits than the whole panel's."""
+    """A standardized one-factor panel built from an input in memory layout
+    `order`; the panel holds the C input's bits in C order either way.  Its
+    60 rows are row blocks of 16, 16, 16 and 12; at this shape a threaded BLAS
+    can give a 16-row block's gemv other last bits than the whole panel's."""
     rng = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
     rows = 0.5 * rng.standard_normal(t) + rng.standard_normal((n, t))
     s = standardize(_panel(rows, bpd=100))
     p = _panel(np.array(s.returns, order=order), standardized=True, bpd=100)
-    assert p.returns.flags[f"{order}_CONTIGUOUS"]
+    assert p.returns.flags.c_contiguous
+    assert np.array_equal(p.returns, s.returns)
     return p
 
 
@@ -221,7 +223,7 @@ def _recorded_pass(r, z):
 @pytest.mark.parametrize("order", ["C", "F"])
 class TestRowBlockRemovalPass:
     """One removal pass over row blocks gives the bits, warnings and errors of
-    the whole-panel expressions, whatever the layout and helper count."""
+    the whole-panel expressions, whatever the input layout and helper count."""
 
     def test_matches_whole_panel_expressions(self, helpers, order):
         p = _factor_panel(order)
@@ -240,6 +242,7 @@ class TestRowBlockRemovalPass:
         rows = np.array(_factor_panel("C").returns)
         rows[20], rows[50] = u, -u
         p = _panel(np.array(rows, order=order), standardized=True, bpd=100)
+        assert p.returns.flags.c_contiguous
         (out, alphas, betas, dropped), caught = _recorded_pass(p, z)
         ref, ref_alphas, ref_betas, ref_dropped = _reference_regress_out(p, z)
         assert np.array_equal(out.returns, ref)
@@ -255,6 +258,7 @@ class TestRowBlockRemovalPass:
         u, z = _unit_regressor()
         rows = np.array([u if k % 3 else -u for k in range(40)], order=order)
         p = _panel(rows, standardized=True, bpd=100)
+        assert p.returns.flags.c_contiguous
         assert _reference_regress_out(p, z)[3] == p.assets
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -14,7 +14,7 @@ import xcorr.panel
 import xcorr.spectrum
 import xcorr.surrogate
 import xcorr.synth
-from xcorr.cli import ingest
+from xcorr.cli import export_panel, ingest
 from xcorr.modes import eigensignals, remove_mode
 from xcorr.panel import (
     PricePanel,
@@ -229,11 +229,20 @@ class TestOwnership:
         assert r.returns is rows
 
     def test_read_only_view_of_frozen_array_is_taken_as_is(self):
-        base = np.arange(24.0).reshape(3, 8).copy()
+        base = np.arange(32.0).reshape(4, 8).copy()
         base.setflags(write=False)
-        view = base[:, :4]
+        view = base[1:]  # a row slice: C-contiguous
         r = ReturnPanel(["A", "B", "C"], view, False, 4, 60.0)
         assert r.returns is view
+
+    def test_frozen_column_window_is_copied_into_c_order(self):
+        base = np.arange(24.0).reshape(3, 8).copy()
+        base.setflags(write=False)
+        view = base[:, 2:6]
+        r = ReturnPanel(["A", "B", "C"], view, False, 4, 60.0)
+        assert r.returns is not view and r.returns.flags.c_contiguous
+        assert r.returns.base is None and not r.returns.flags.writeable
+        assert np.array_equal(r.returns, view)
 
     def test_read_only_view_is_copied(self):
         base = np.arange(24.0).reshape(3, 8)
@@ -273,7 +282,9 @@ class TestOwnership:
         elif layout == "window":
             x = x[:, 100:400]
         r = ReturnPanel([f"A{i}" for i in range(33)], x, False, 1, 60.0)
-        expect = (x - x.mean(1, keepdims=True)) / x.std(1, keepdims=True)
+        # The panel holds a C-ordered copy, whose row sums the formula follows.
+        c = np.ascontiguousarray(x)
+        expect = (c - c.mean(1, keepdims=True)) / c.std(1, keepdims=True)
         assert np.array_equal(standardize(r).returns, expect)
 
 
@@ -486,12 +497,6 @@ class TestThreadedRowBlocks:
         with pytest.raises(ValueError, match="non-finite"):
             ReturnPanel(_assets(50), x, True, 1, 60.0)
 
-    def test_f_ordered_panel_is_one_block_on_the_calling_thread(self, monkeypatch):
-        _pooled(monkeypatch)
-        x = np.asfortranarray(np.zeros((50, 3)))
-        out = _each_block(lambda b: (b, threading.current_thread()), x)
-        assert out == [(slice(0, 50), threading.main_thread())]
-
     def test_workers_call_no_public_function(self, monkeypatch):
         """A tracer that wraps the public functions and every panel
         construction, keeping one span stack, sees them all on one thread."""
@@ -529,6 +534,74 @@ class TestThreadedRowBlocks:
                 "remove_modes_iterative", "eigensignals",
                 "correlation_matrix"} <= {n for n, _ in calls}
         assert {t for _, t in calls} == {threading.main_thread()}
+
+
+def _frozen_f_view(x):
+    """A read-only F-ordered view of a frozen C array: bar-major rows seen as
+    an (N, T) panel."""
+    base = np.array(x.T, order="C")
+    base.setflags(write=False)
+    return base.T
+
+
+def _entry_panels(tmp_path):
+    """A panel or price panel from every way into the library."""
+    x = _rows(20, 60, seed=21)
+    f = np.asfortranarray(x)
+    from_f = ReturnPanel(_assets(20), f, False, 10, 60.0)
+    s = standardize(from_f)
+    frozen = x.copy()
+    frozen.setflags(write=False)
+    prices = np.asfortranarray(100.0 * np.exp(np.cumsum(x * 0.01, axis=1)))
+    out = {
+        "f_array": from_f,
+        "frozen_f_view": ReturnPanel(_assets(20), _frozen_f_view(x), False, 10, 60.0),
+        "column_window": ReturnPanel(_assets(20), frozen[:, 10:50], False, 10, 60.0),
+        "price_panel": price_panel(prices, bars_per_day=10),
+        "log_returns": log_returns(price_panel(prices, bars_per_day=10)),
+        "standardize": s,
+        "coarsen": coarsen(from_f, 2),
+        "remove_modes_iterative": xcorr.modes.remove_modes_iterative(from_f, 3).panel,
+    }
+    for kind in KINDS:
+        out[kind] = apply_surrogate(s, SurrogateSpec(kind, 3))
+    export_panel(s, tmp_path / "panel.csv")
+    out["panel_reader"] = ingest(str(tmp_path / "panel.csv"), "panel")
+    with open(tmp_path / "wide.csv", "w") as fh:
+        fh.write("t," + ",".join(_assets(20)) + "\n")
+        for j in range(prices.shape[1]):
+            fh.write(f"{60 * j}," + ",".join(map(repr, prices[:, j].tolist())) + "\n")
+    out["wide_reader"] = ingest(str(tmp_path / "wide.csv"), "wide", bars_per_day=10)
+    with open(tmp_path / "long.csv", "w") as fh:
+        fh.write("t,asset,price\n")
+        for j in range(prices.shape[1]):
+            for i, a in enumerate(_assets(20)):
+                fh.write(f"{60 * j},{a},{float(prices[i, j])!r}\n")
+    out["long_reader"] = ingest(str(tmp_path / "long.csv"), "long", bars_per_day=10)
+    return out
+
+
+ENTRIES = ["f_array", "frozen_f_view", "column_window", "price_panel", "log_returns",
+           "standardize", "coarsen", "remove_modes_iterative", *KINDS,
+           "panel_reader", "wide_reader", "long_reader"]
+
+
+class TestCOrderedOnEntry:
+    """Every way in gives a panel whose array is C-ordered, so every row block
+    of every pass is contiguous."""
+
+    @pytest.fixture(scope="class")
+    def entries(self, tmp_path_factory):
+        return _entry_panels(tmp_path_factory.mktemp("entry"))
+
+    def test_every_way_in_is_listed(self, entries):
+        assert sorted(entries) == sorted(ENTRIES)
+
+    @pytest.mark.parametrize("way", ENTRIES)
+    def test_panel_is_c_contiguous(self, entries, way):
+        p = entries[way]
+        arr = p.prices if isinstance(p, PricePanel) else p.returns
+        assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 class TestAllocationPeaks:

@@ -117,11 +117,13 @@ def _reference_correlation(r):
 
 
 def _factor_panel(n, order, t=600, seed=5):
-    """A standardized one-factor panel of n assets, C- or F-ordered."""
+    """A standardized one-factor panel of n assets from a C- or F-ordered
+    input; the panel is C-ordered with the C input's bits either way."""
     rng = np.random.default_rng(seed + n)
     x = rng.standard_normal((n, t)) + 0.4 * rng.standard_normal(t)
     r = standardize(_panel(np.asarray(x, order=order)))
-    assert r.returns.flags[f"{order}_CONTIGUOUS"]
+    assert r.returns.flags.c_contiguous
+    assert np.array_equal(r.returns, standardize(_panel(np.ascontiguousarray(x))).returns)
     return r
 
 

@@ -403,20 +403,21 @@ def _reference_panels():
     raw[rng.random((4, 99)) < 0.2] = 0.0
     raw[3] = np.abs(raw[3]) + 0.1
     zero_returns = _panel(raw, bpd=7)
-    # F-ordered, as the panel CSV reader builds it from its bar-major rows.
+    # Built from bar-major rows seen as an F-ordered (N, T) array; the panel
+    # holds a C-ordered copy.
     bar_rows = rng.standard_normal((250, 6)).tolist()
     f_ordered = standardize(_panel(np.array(bar_rows).T, bpd=20))
-    assert f_ordered.returns.flags.f_contiguous and not f_ordered.returns.flags.c_contiguous
+    assert f_ordered.returns.flags.c_contiguous
     # 33 rows: two full row blocks and a partial one.  The C-ordered panel is
     # raw, with zero returns, a partial day and a constant-sign row past the
-    # first block; the F-ordered one is standardized.
+    # first block; the one from bar-major rows is standardized.
     raw = rng.standard_normal((33, 203))
     raw[rng.random((33, 203)) < 0.1] = 0.0
     raw[20] = np.abs(raw[20]) + 0.1
     c_blocks = _panel(raw, bpd=10)
     assert c_blocks.returns.flags.c_contiguous
     f_blocks = standardize(_panel(np.array(rng.standard_normal((240, 33)).tolist()).T, bpd=24))
-    assert f_blocks.returns.flags.f_contiguous and not f_blocks.returns.flags.c_contiguous
+    assert f_blocks.returns.flags.c_contiguous
     # 40 rows: row blocks of 16, 16 and 8, which the helper threads share.
     wide_blocks = standardize(_panel(rng.standard_normal((40, 1003)), bpd=10))
     assert wide_blocks.returns.flags.c_contiguous

@@ -149,7 +149,7 @@ class TestSameOutput:
             helpers(count)
             back = ingest(str(path), "panel")
             assert np.array_equal(back.returns, r.returns)
-            assert back.returns.flags.f_contiguous and not back.returns.flags.writeable
+            assert back.returns.flags.c_contiguous and not back.returns.flags.writeable
 
     @pytest.mark.parametrize("n, t", SHAPES)
     def test_wide_read_equal_across_helper_counts(self, tmp_path, helpers, n, t):

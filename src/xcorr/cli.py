@@ -327,11 +327,26 @@ def _timestamp(token, lineno):
     return ts
 
 
+def _csv_records(fh, path):
+    """(line number, fields) of each record of a CSV file, header included;
+    a malformed record is a ValueError naming the file and its first line."""
+    reader = csv.reader(fh)
+    while True:
+        lineno = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {lineno}: malformed CSV record: {exc}") from None
+        yield lineno, row
+
+
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
         if len(header) < 2:
@@ -343,7 +358,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
         timestamps, rows, linenos = [], [], []
         stop = None  # the first bad line's error, raised after the prices before it
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for lineno, row in reader:
                 if not row or all(not f.strip() for f in row):
                     continue
                 if len(row) != len(header):
@@ -355,7 +370,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
                         _price(c, a, lineno)  # raises at the first bad cell
                 rows.append(cells)
                 linenos.append(lineno)
-        except (ValueError, csv.Error) as exc:
+        except ValueError as exc:
             stop = exc
     values = _rows_in_parts(lambda lo, hi: _price_rows(rows[lo:hi], linenos[lo:hi], assets),
                             len(rows), len(assets))
@@ -397,14 +412,14 @@ def _price(cell, asset, lineno):
 
 def _read_long_csv(path, bars_per_day) -> PricePanel:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(fh, path)
         try:
             next(reader)
         except StopIteration:
             raise ValueError(f"empty file: {path}") from None
         records = []
         asset_index = {}  # asset name -> row, in order of first appearance
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row or all(not f.strip() for f in row):
                 continue
             if len(row) != 3:

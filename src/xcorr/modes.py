@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _frozen, _row_blocks, standardize
+from .panel import ReturnPanel, _each_block, _frozen, standardize
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -120,19 +120,23 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
     return out
 
 
-def _regress_out(r: ReturnPanel, z: Eigensignal):
+def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
     """OLS of each asset row on (1, z); returns re-standardized residual panel
     plus the per-asset coefficients and the names of dropped assets.
 
     beta = m @ zc / zc.zc is one whole-panel product: a threaded BLAS can give
-    a block of rows other last bits than the same rows of the whole.  One pass
-    over the row blocks of :func:`xcorr.panel._row_blocks`, on the calling
-    thread, then takes each block while it is in cache through alpha, the
-    residual m - alpha - beta z, its row variance, its dot with z and its
+    a block of rows other last bits than the same rows of the whole.  One
+    row-block pass (:func:`xcorr.panel._each_block`, the blocks shared out
+    among threads) then takes each block while it is in cache through alpha,
+    the residual m - alpha - beta z, its row variance, its dot with z and its
     scaling to unit variance.  Each element sees the operations of the
     whole-panel expressions, so the bits are theirs.  The drop warnings,
     the all-dropped error and the orthogonality check follow the pass, in
     asset order.
+
+    With `in_place`, the residuals overwrite ``r.returns``: `r` must be a
+    panel that only the caller holds, whose array the library allocated, and
+    it is not valid after the call.
     """
     series = z.series
     if series.shape != (r.t_length,):
@@ -147,9 +151,14 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
     m = r.returns
     n = r.n_assets
     betas = (m @ zc) / (zc @ zc)
-    resid = np.empty_like(m)
+    if in_place:
+        resid = m
+        resid.setflags(write=True)
+    else:
+        resid = np.empty_like(m)
     alphas, res_var, dots = np.empty(n), np.empty(n), np.empty(n)
-    for b in _row_blocks(m):
+
+    def regress(b):
         e = resid[b]
         alphas[b] = m[b].mean(axis=1) - betas[b] * z_mean
         np.subtract(m[b], alphas[b, None], out=e)
@@ -159,6 +168,7 @@ def _regress_out(r: ReturnPanel, z: Eigensignal):
         v = res_var[b, None]
         np.divide(e, np.sqrt(v), out=e, where=v >= RESIDUAL_VAR_TOL)
 
+    _each_block(regress, m)
     keep = res_var >= RESIDUAL_VAR_TOL
     for name in np.asarray(r.assets)[~keep]:
         warnings.warn(f"asset {name} perfectly explained by removed mode; dropped")
@@ -204,7 +214,8 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
     (sequential reading of repeated removal).  With ``from_original=True`` the
     regressors are the original panel's eigensignals z_1..z_count instead.
     Either way the spectrum of the panel entering each pass is recorded in
-    ``spectra``.
+    ``spectra``.  The caller's panel is never written: the first pass
+    allocates the residual array, and every later pass overwrites it.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -226,7 +237,9 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
             # with the pass rank so the record reads "modes 1..count removed".
             z = Eigensignal(index=p + 1, series=z.series, eigenvalue=z.eigenvalue)
         pass_assets.append(list(current.assets))
-        current, a, b, d = _regress_out(current, z)
+        # After the first pass, `current` is the last pass's residual panel,
+        # which only this loop holds; rebinding it drops that panel.
+        current, a, b, d = _regress_out(current, z, in_place=p > 0)
         removed.append(z.index)
         alphas.append(a)
         betas.append(b)

@@ -134,13 +134,17 @@ def _each(fn, items):
     return results
 
 
-def _standardized_rows(x, f=None):
+def _standardized_rows(x, f=None, out=None):
     """``(y - y.mean(1)) / y.std(1)`` for ``y = f(x)`` (or `x`), bit for bit, in
     one row-block pass, and a mask of the zero-variance rows, which are left
     centred rather than divided.
+
+    The result goes to `out`, a new array unless given; `out` may be `x`
+    itself, which is then standardized in place.
     """
     n, t = x.shape
-    out = np.empty((n, t))
+    if out is None:
+        out = np.empty((n, t))
     flat = np.empty(n, dtype=bool)
 
     def scale(b):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, standardize
+from .panel import ReturnPanel, _each, _each_block, _frozen, _standardized_rows
 
 __all__ = [
     "MarketModel",
@@ -27,6 +27,15 @@ __all__ = [
 # Stream ids for the shared factor series sit far above any asset index so the
 # per-asset and common streams can never collide.
 _FACTOR_STREAM_BASE = 2**32
+
+# Largest log-volatility `generate` accepts.  A volatility factor up to about
+# 1e77 keeps every scaled return, its square and a row's sum of squares far
+# inside the float range.
+_MAX_LOG_VOL = math.log(np.finfo(float).max) / 4
+
+# Elements per chunk of the time-major volatility buffer that one thread takes
+# through exp: 2 MB, 16 chunks at the presets' 100 x 40600.
+_VOL_CHUNK = 2**18
 
 
 @dataclass
@@ -82,8 +91,8 @@ class MarketModel:
             a, vol_of_vol = self.vol_clustering
             if not 0.0 <= a < 1.0:
                 raise ValueError("volatility persistence must be in [0, 1)")
-            if vol_of_vol < 0:
-                raise ValueError("vol-of-vol must be non-negative")
+            if not 0 <= vol_of_vol < math.inf:
+                raise ValueError("vol-of-vol must be finite and non-negative")
             self.vol_clustering = (float(a), float(vol_of_vol))
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -129,16 +138,19 @@ def generate(m: MarketModel) -> ReturnPanel:
     Common factors use dedicated streams; each asset's idiosyncratic noise and
     volatility innovations come from a stream keyed by (seed, asset index), so
     the panel is reproducible regardless of generation order.  The per-asset
-    draws run as one row-block pass (:func:`xcorr.panel._each_block`), blocks of
-    assets shared out among threads, so the bits do not depend on the thread
-    count.
+    draws, the volatility scaling and the standardization each run as one
+    row-block pass (:func:`xcorr.panel._each_block`), blocks of assets shared
+    out among threads, all in the one (N, T) array that becomes the panel, so
+    the bits do not depend on the thread count.
 
     The log-volatility recursion v_k(j) = a*v_k(j-1) + s*eta_k(j), with
     stationary start v_k(0) = eta_k(0)*s/sqrt(1-a^2), is stepped over time once
     for all assets on a time-major (T, N) buffer.  Each element goes through
     the same IEEE operations as the per-asset definition (only the operands of
     commutative multiplies and adds swap), so every row is bit-identical to
-    running the recursion asset by asset.
+    running the recursion asset by asset.  Its exp runs over contiguous chunks
+    shared out among threads; a log-volatility above ``_MAX_LOG_VOL`` is an
+    error that names ``vol_clustering``, raised before any return is scaled.
     """
     t = m.t_length
     market = _stream(m.seed, _FACTOR_STREAM_BASE).standard_normal(t)
@@ -171,24 +183,42 @@ def generate(m: MarketModel) -> ReturnPanel:
         v[1:] *= s
         for j in range(1, t):
             v[j] += a * v[j - 1]
-        np.exp(v, out=v)
-        # In place, so no second (N, T) array is made.
-        rows *= v.T
-        del v
 
+        def exp(c):
+            top = c.max()
+            if top > _MAX_LOG_VOL:
+                raise ValueError(
+                    f"vol_clustering={m.vol_clustering} drives the log-volatility to "
+                    f"{top:.6g}, above {_MAX_LOG_VOL:.6g}: the scaled returns would overflow"
+                )
+            np.exp(c, out=c)
+
+        step = max(1, _VOL_CHUNK // m.n_assets)
+        _each(exp, [v[j : j + step] for j in range(0, t, step)])
+
+    u = None
     if m.intraday_profile is not None:
         reps = -(-t // m.bars_per_day)
         u = np.tile(m.intraday_profile, reps)[:t]
-        rows = rows * u[None, :]
 
-    raw = ReturnPanel(
+    def scale(b):
+        if v is not None:
+            rows[b] *= v[:, b].T
+        if u is not None:
+            rows[b] *= u
+
+    if v is not None or u is not None:
+        _each_block(scale, rows)
+
+    # A constant row stays centred, and the panel's validation names it.
+    _standardized_rows(rows, out=rows)
+    return ReturnPanel(
         assets=[f"SYN{k:03d}" for k in range(m.n_assets)],
         returns=_frozen(rows),
-        standardized=False,
+        standardized=True,
         bars_per_day=m.bars_per_day,
         dt_seconds=m.dt_seconds,
     )
-    return standardize(raw)
 
 
 def expected_lambda1(m: MarketModel) -> float:

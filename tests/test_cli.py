@@ -977,6 +977,31 @@ class TestMainErrors:
         assert flag in err["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["long", "wide"])
+    def test_malformed_csv_record_names_file_and_line(self, tmp_path, capsys, fmt):
+        # The unbalanced quote on line 11 opens a field that swallows the rest
+        # of the file, past the csv module's field size limit.
+        if fmt == "long":
+            lines = ["t,asset,price"] + [f"{60 * j},{a},{100.0 + 0.01 * j + k}"
+                                         for j in range(5000) for k, a in enumerate("ABCD")]
+            lines[10] = '0,"A,100.0'
+        else:
+            lines = ["t,A,B,C,D"] + [f"{60 * j}," + ",".join(str(100.0 + 0.01 * j + k)
+                                                          for k in range(4))
+                                     for j in range(5000)]
+            lines[10] = '540,"100.0,101.0,102.0,103.0'
+        path = tmp_path / f"{fmt}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--input", str(path), "--format", fmt,
+                   "--bars-per-day", "10", "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith(f"{path}: line 11: malformed CSV record: ")
+        assert "field limit" in err["error"]
+        assert not out.exists() or list(out.iterdir()) == []
+
     @pytest.mark.parametrize("scales, got", [("10,20,40", 3), ("100", 1)])
     def test_short_scale_grid_fails_before_the_run(self, tmp_path, capsys, scales, got):
         out = tmp_path / "out"

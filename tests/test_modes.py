@@ -402,6 +402,52 @@ class TestRemoveModesIterative:
         assert "spectra" not in d
 
 
+def _rank_two_panel(n=20, t=3000):
+    """Every row a mix of the same two factors: the first removal pass leaves
+    every residual on one line, which the second pass explains exactly."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([41, 0], dtype=np.uint64)))
+    factors = rng.standard_normal((2, t))
+    return standardize(_panel(rng.uniform(0.5, 2.0, (n, 2)) @ factors, bpd=100))
+
+
+class TestRemovalBuffers:
+    """Each pass after the first overwrites the residual array of the pass
+    before it; the caller's panel is never written."""
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_caller_panel_keeps_its_bytes(self, from_original):
+        p = _two_sector_panel()
+        before = p.returns.tobytes()
+        res = remove_modes_iterative(p, 3, from_original=from_original)
+        assert p.returns.tobytes() == before
+        assert not p.returns.flags.writeable
+        assert not res.panel.returns.flags.writeable
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_caller_panel_keeps_its_bytes_when_every_asset_is_dropped(self, from_original):
+        p = _rank_two_panel()
+        before = p.returns.tobytes()
+        with pytest.raises(ValueError, match="^all assets perfectly explained"):
+            with pytest.warns(UserWarning, match="perfectly explained"):
+                remove_modes_iterative(p, 3, from_original=from_original)
+        assert p.returns.tobytes() == before
+        assert not p.returns.flags.writeable
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_bits_do_not_depend_on_helper_count(self, monkeypatch, from_original):
+        p = _two_sector_panel()
+        spec = eigendecompose(correlation_matrix(p))
+        runs = []
+        for helpers in (0, 1, 3):
+            monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+            res = remove_modes_iterative(p, 3, from_original=from_original)
+            zs = eigensignals(p, spec, range(1, p.n_assets + 1))
+            runs.append([res.panel.returns, *res.alphas, *res.betas, *(z.series for z in zs)])
+        assert len(runs[0]) == 1 + 3 + 3 + p.n_assets
+        for run in runs[1:]:
+            assert all(np.array_equal(got, expect) for got, expect in zip(run, runs[0]))
+
+
 class TestResidualPanelValidation:
     def test_bookkeeping_lengths_must_agree(self, panel_4x64):
         s = eigendecompose(correlation_matrix(panel_4x64))

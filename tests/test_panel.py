@@ -346,19 +346,14 @@ class TestPassCounts:
         raw = ReturnPanel(_assets(), _rows(), False, 1, 60.0)
         s = standardize(raw)
         calls = []
-        each_block, row_blocks = xcorr.panel._each_block, xcorr.panel._row_blocks
+        each_block = xcorr.panel._each_block
 
         def counting(fn, x):
             calls.append(x.shape)
             return each_block(fn, x)
 
-        def counting_blocks(x):
-            calls.append(x.shape)
-            return row_blocks(x)
-
-        monkeypatch.setattr(xcorr.panel, "_each_block", counting)
-        monkeypatch.setattr(xcorr.surrogate, "_each_block", counting)
-        monkeypatch.setattr(xcorr.modes, "_row_blocks", counting_blocks)
+        for mod in (xcorr.panel, xcorr.surrogate, xcorr.modes):
+            monkeypatch.setattr(mod, "_each_block", counting)
         build(raw, s)
         assert len(calls) == passes
 
@@ -639,6 +634,17 @@ class TestAllocationPeaks:
         s = standardize(raw)
         z = _top_signal(s)
         assert self.peak_ratio(lambda: xcorr.modes._regress_out(s, z), s) <= 1.25
+
+    @pytest.mark.parametrize("from_original", [False, True])
+    def test_three_removal_passes_hold_one_residual_buffer(self, raw, from_original):
+        s = standardize(raw)
+        ratio = self.peak_ratio(
+            lambda: xcorr.modes.remove_modes_iterative(s, 3, from_original=from_original), s)
+        assert ratio <= 1.6
+
+    def test_generate_builds_one_panel(self, raw):
+        model = MarketModel(n_assets=256, t_length=4096, bars_per_day=1, market_loading=0.4)
+        assert self.peak_ratio(lambda: generate(model), raw) <= 1.25
 
     def test_standardized_construction(self, raw):
         s = standardize(raw)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import xcorr.panel
+import xcorr.synth
 from xcorr.panel import ReturnPanel, standardize
 from xcorr.spectrum import correlation_matrix, eigendecompose, mp_bounds, overlap_fraction
 from xcorr.synth import (
@@ -98,8 +99,10 @@ class TestMarketModelValidation:
     def test_rejects_bad_vol_clustering(self):
         with pytest.raises(ValueError, match="persistence"):
             MarketModel(n_assets=2, t_length=100, bars_per_day=10, vol_clustering=(1.0, 0.1))
-        with pytest.raises(ValueError, match="vol-of-vol"):
-            MarketModel(n_assets=2, t_length=100, bars_per_day=10, vol_clustering=(0.5, -0.1))
+        for vol_of_vol in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="vol-of-vol must be finite and non-negative"):
+                MarketModel(n_assets=2, t_length=100, bars_per_day=10,
+                            vol_clustering=(0.5, vol_of_vol))
 
     def test_to_dict_round_trip_fields(self):
         m = MarketModel(
@@ -181,6 +184,28 @@ class TestGenerate:
         got = generate(m).returns
         assert np.array_equal(got, expect)
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3], ids=lambda h: f"helpers{h}")
+    def test_exp_in_many_chunks_matches_the_serial_loop(self, monkeypatch, helpers):
+        # 50 assets and 2048 elements per chunk: 75 chunks of 40 bars.
+        m = preset("intraday", seed=37, n_assets=50, t_length=3000, vol_clustering=(0.9, 0.3))
+        expect = per_asset_reference(m).returns
+        monkeypatch.setattr(xcorr.synth, "_VOL_CHUNK", 2048)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        assert np.array_equal(generate(m).returns, expect)
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3], ids=lambda h: f"helpers{h}")
+    def test_overflowing_volatility_names_vol_clustering(self, monkeypatch, helpers):
+        # The log-volatility's stationary spread is 50 / sqrt(1 - 0.999**2),
+        # about 1100: exp of it overflows.  pytest turns the RuntimeWarning an
+        # overflow would raise into an error, so none is raised.
+        m = MarketModel(n_assets=20, t_length=2000, bars_per_day=10, market_loading=0.4,
+                        vol_clustering=(0.999, 50.0))
+        monkeypatch.setattr(xcorr.synth, "_VOL_CHUNK", 2048)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        with pytest.raises(ValueError, match=r"^vol_clustering=\(0\.999, 50\.0\) drives the "
+                                             r"log-volatility to .*: the scaled returns would overflow$"):
+            generate(m)
 
     def test_pooled_draws_hold_under_contention(self, monkeypatch):
         # More threads than cores writing disjoint rows and columns of the

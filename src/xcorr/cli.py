@@ -258,36 +258,40 @@ def _read_panel_csv(path) -> ReturnPanel:
     meta = {}
     header = None
     lines, linenos = [], []
+    stop = None  # the first bad line's error, raised after the values before it
     with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, val = body.partition(":")
-                    meta[key.strip()] = val.strip()
-                elif header is None and not meta:
-                    meta["magic"] = body
-                continue
-            if header is None:
-                header = line.split(",")
-                if header[0] != "bar" or len(header) < 2:
-                    raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
-                _check_names(header[1:], f"line {lineno}")
-                commas = len(header) - 1
-                continue
-            if line.count(",") != commas:
-                raise ValueError(
-                    f"line {lineno}: expected {len(header)} fields, got {line.count(',') + 1}"
-                )
-            lines.append(line)
-            linenos.append(lineno)
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if not line.strip():
+                    continue
+                if line.startswith("#"):
+                    # The metadata is the comment block above the header; a
+                    # comment line after it is only a comment.
+                    body = line[1:].strip()
+                    if header is None and ":" in body:
+                        key, _, val = body.partition(":")
+                        meta[key.strip()] = val.strip()
+                    elif header is None and not meta:
+                        meta["magic"] = body
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    if header[0] != "bar" or len(header) < 2:
+                        raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
+                    _check_names(header[1:], f"line {lineno}")
+                    commas = len(header) - 1
+                    continue
+                if line.count(",") != commas:
+                    raise ValueError(
+                        f"line {lineno}: expected {len(header)} fields, got {line.count(',') + 1}"
+                    )
+                lines.append(line)
+                linenos.append(lineno)
+        except ValueError as exc:
+            stop = exc
     if meta.get("magic") != PANEL_MAGIC:
         raise ValueError(f"not a {PANEL_MAGIC} file: {path}")
-    if header is None or not lines:
-        raise ValueError(f"panel file {path} has no data rows")
     standardized = meta.get("standardized", "false")
     if standardized not in ("true", "false"):
         raise ValueError(
@@ -295,18 +299,25 @@ def _read_panel_csv(path) -> ReturnPanel:
         )
     bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
     dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
-    n_fields = len(header)
-    try:
-        values = _rows_in_parts(lambda lo, hi: _parse_panel_rows(lines[lo:hi], n_fields),
-                                len(lines), n_fields - 1)
-    except ValueError:
-        # Find the first bad line with the same parser, one line at a time.
-        for line, lineno in zip(lines, linenos):
-            try:
-                _parse_panel_rows([line], len(header))
-            except ValueError:
-                raise ValueError(f"line {lineno}: unparseable value in panel file") from None
-        raise
+
+    def parse(lo, hi):
+        try:
+            return _parse_panel_rows(lines[lo:hi], len(header))
+        except ValueError:
+            # Find the part's first bad line with the same parser, one line at a time.
+            for k in range(lo, hi):
+                try:
+                    _parse_panel_rows([lines[k]], len(header))
+                except ValueError:
+                    raise ValueError(f"line {linenos[k]}: unparseable value in panel file") from None
+            raise
+
+    if lines:
+        values = _rows_in_parts(parse, len(lines), len(header) - 1)
+    if stop is not None:
+        raise stop
+    if not lines:
+        raise ValueError(f"panel file {path} has no data rows")
     return ReturnPanel(
         assets=header[1:],
         returns=_frozen(values),
@@ -328,39 +339,40 @@ def _timestamp(token, lineno):
 
 
 def _csv_records(fh, path):
-    """(line number, fields) of each record of a CSV file, header included;
-    a malformed record is a ValueError naming the file and its first line."""
+    """(line number, fields) of each record of a CSV file with a non-blank
+    field, header included.  A file with no such record is a ValueError naming
+    the file, and a malformed record one naming the file and its first line."""
     reader = csv.reader(fh)
+    empty = True
     while True:
         lineno = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
+            if empty:
+                raise ValueError(f"empty file: {path}") from None
             return
         except csv.Error as exc:
             raise ValueError(f"{path}: line {lineno}: malformed CSV record: {exc}") from None
-        yield lineno, row
+        if any(f.strip() for f in row):
+            empty = False
+            yield lineno, row
 
 
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
     with open(path, newline="") as fh:
         reader = _csv_records(fh, path)
-        try:
-            _, header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty file: {path}") from None
+        lineno, header = next(reader)
         if len(header) < 2:
             raise ValueError("wide CSV needs a time column plus at least one asset")
         assets = [a.strip() for a in header[1:]]
-        _check_names(assets, "line 1")
+        _check_names(assets, f"line {lineno}")
         # Each row's price cells are kept as one comma-joined string, not one
         # object per cell; a row with a comma inside a cell holds no price.
         timestamps, rows, linenos = [], [], []
         stop = None  # the first bad line's error, raised after the prices before it
         try:
             for lineno, row in reader:
-                if not row or all(not f.strip() for f in row):
-                    continue
                 if len(row) != len(header):
                     raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
                 timestamps.append(_timestamp(row[0], lineno))
@@ -378,13 +390,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
         raise stop
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    prices, assets = _fill_missing(values, assets)
-    return PricePanel(
-        assets=assets,
-        timestamps=np.array(timestamps, dtype=float),
-        prices=prices,
-        bars_per_day=bars_per_day,
-    )
+    return _price_panel(values, assets, timestamps, bars_per_day)
 
 
 def _price_rows(rows, linenos, assets):
@@ -411,38 +417,33 @@ def _price(cell, asset, lineno):
 
 
 def _read_long_csv(path, bars_per_day) -> PricePanel:
+    records = []
+    asset_index = {}  # asset name -> row, in order of first appearance
+    stop = None  # the first bad line's error, raised after the records before it
     with open(path, newline="") as fh:
         reader = _csv_records(fh, path)
+        next(reader)  # the header
         try:
-            next(reader)
-        except StopIteration:
-            raise ValueError(f"empty file: {path}") from None
-        records = []
-        asset_index = {}  # asset name -> row, in order of first appearance
-        for lineno, row in reader:
-            if not row or all(not f.strip() for f in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: expected timestamp,asset,price")
-            ts, asset = _timestamp(row[0], lineno), row[1].strip()
-            if asset not in asset_index:
-                _check_names([asset], f"line {lineno}")
-                asset_index[asset] = len(asset_index)
-            try:
-                price = float(row[2])
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: unparseable price {row[2]!r} for {asset}"
-                ) from None
-            records.append((ts, asset, price, lineno))
-    if not records:
-        raise ValueError(f"no data rows in {path}")
+            for lineno, row in reader:
+                if len(row) != 3:
+                    raise ValueError(f"line {lineno}: expected timestamp,asset,price")
+                ts, asset = _timestamp(row[0], lineno), row[1].strip()
+                if asset not in asset_index:
+                    _check_names([asset], f"line {lineno}")
+                    asset_index[asset] = len(asset_index)
+                try:
+                    price = float(row[2])
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: unparseable price {row[2]!r} for {asset}"
+                    ) from None
+                records.append((ts, asset, price, lineno))
+        except ValueError as exc:
+            stop = exc
 
     grid = sorted({ts for ts, _, _, _ in records})
     grid_index = {ts: i for i, ts in enumerate(grid)}
-    assets = list(asset_index)
-
-    prices = np.full((len(assets), len(grid)), np.nan)
+    prices = np.full((len(asset_index), len(grid)), np.nan)
     filled = np.zeros(prices.shape, dtype=bool)
     for ts, asset, price, lineno in records:
         i, j = asset_index[asset], grid_index[ts]
@@ -450,42 +451,46 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
             raise ValueError(f"line {lineno}: duplicate (timestamp, asset) = ({ts}, {asset})")
         filled[i, j] = True
         prices[i, j] = price
-
-    prices, assets = _fill_missing(prices, assets)
-    return PricePanel(
-        assets=assets,
-        timestamps=np.array(grid, dtype=float),
-        prices=prices,
-        bars_per_day=bars_per_day,
-    )
+    if stop is not None:
+        raise stop
+    if not records:
+        raise ValueError(f"no data rows in {path}")
+    return _price_panel(prices, list(asset_index), grid, bars_per_day)
 
 
-def _fill_missing(prices, assets):
-    """Forward-fill missing prices; drop assets missing more than 5% of bars."""
+def _price_panel(prices, assets, timestamps, bars_per_day):
+    """The PricePanel of a reader's (N, T+1) prices, NaN where a bar has none.
+
+    A gap takes the last price before it (a warning gives the count); an
+    asset missing more than 5% of its bars is dropped with a warning.
+    `prices` is the reader's own C-ordered array: it is filled in place and
+    frozen, and copied only when an asset is dropped.
+    """
     n_bars = prices.shape[1]
-    keep, kept_names = [], []
+    keep = []
     for i, name in enumerate(assets):
         missing = int(np.isnan(prices[i]).sum())
-        if missing == 0:
-            keep.append(i)
-            kept_names.append(name)
-            continue
         if missing > MISSING_DROP_FRACTION * n_bars:
-            warnings.warn(
-                f"asset {name} missing {missing}/{n_bars} bars (> 5%); dropped"
-            )
+            warnings.warn(f"asset {name} missing {missing}/{n_bars} bars (> 5%); dropped")
             continue
-        if np.isnan(prices[i, 0]):
-            raise ValueError(f"asset {name} has no price at the first bar; cannot forward-fill")
-        # Each bar takes the price at the last bar up to it that has one.
-        last = np.maximum.accumulate(np.where(np.isnan(prices[i]), 0, np.arange(n_bars)))
-        prices[i] = prices[i, last]
-        warnings.warn(f"asset {name}: forward-filled {missing} missing bar(s)")
+        if missing:
+            if np.isnan(prices[i, 0]):
+                raise ValueError(f"asset {name} has no price at the first bar; cannot forward-fill")
+            # Each bar takes the price at the last bar up to it that has one.
+            last = np.maximum.accumulate(np.where(np.isnan(prices[i]), 0, np.arange(n_bars)))
+            prices[i] = prices[i, last]
+            warnings.warn(f"asset {name}: forward-filled {missing} missing bar(s)")
         keep.append(i)
-        kept_names.append(name)
     if not keep:
         raise ValueError("all assets dropped during missing-bar handling")
-    return prices[keep], kept_names
+    if len(keep) < len(assets):
+        prices = prices[keep]
+    return PricePanel(
+        assets=[assets[i] for i in keep],
+        timestamps=timestamps,
+        prices=_frozen(prices),
+        bars_per_day=bars_per_day,
+    )
 
 
 def ingest(path, format: str, bars_per_day: int = 78):
@@ -623,8 +628,11 @@ def _effective_config(args) -> dict:
             cfg["seed"] = 0
     for key in _FLAGS:
         _check_bounds(key, cfg[key], _flag_name(key))
+    # A bad grid or factor list fails here, before --out is created.
     if args.command == "mfdfa":
-        _mfdfa_config(cfg)  # a bad grid flag fails here, before --out is created
+        _mfdfa_config(cfg)
+    if args.command == "report":
+        _parse_factors(cfg["factors"])
     explicit_bpd = "bars_per_day" in file_cfg or getattr(args, "bars_per_day", None) is not None
     if explicit_bpd and (cfg["preset"] or cfg["format"] == "panel"):
         source = "the preset" if cfg["preset"] else "the panel file header"

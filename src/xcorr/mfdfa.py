@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .panel import _record
+
 __all__ = [
     "MfdfaConfig",
     "FluctuationSurface",
@@ -134,14 +136,7 @@ class FluctuationSurface:
             raise ValueError("F_q(n) must be non-decreasing in q for each scale")
         self.values = v
 
-    def to_dict(self):
-        return {
-            "q_grid": self.q_grid.tolist(),
-            "scales": self.scales.tolist(),
-            "values": self.values.tolist(),
-            "h": None if self.h is None else self.h.tolist(),
-            "fit_residual": None if self.fit_residual is None else self.fit_residual.tolist(),
-        }
+    to_dict = _record
 
 
 @dataclass
@@ -172,16 +167,7 @@ class SingularitySpectrum:
         self.alpha_monotone = bool((np.diff(self.alpha) <= ALPHA_TOL).all())
         self.f_within_bound = bool((self.f <= 1.0 + F_TOL).all())
 
-    def to_dict(self):
-        return {
-            "q": self.q.tolist(),
-            "h": self.h.tolist(),
-            "alpha": self.alpha.tolist(),
-            "f": self.f.tolist(),
-            "width": self.width,
-            "alpha_monotone": self.alpha_monotone,
-            "f_within_bound": self.f_within_bound,
-        }
+    to_dict = _record
 
 
 def profile(x) -> np.ndarray:

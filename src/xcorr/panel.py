@@ -6,7 +6,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +25,9 @@ VAR_TOL = 1e-8
 # so each block's temporaries stay in cache.
 _ROW_BLOCK = 16
 
+# A row whose values are above about 1e154 has squares that overflow float64.
+_TOO_LARGE = "row {!r} has values too large to standardize: their squares overflow float64"
+
 
 # Threads that take row blocks (and the tiles of spectrum's Gram product)
 # beside the calling thread, one per other core this process may run on.  The
@@ -34,6 +37,20 @@ try:
 except AttributeError:  # no sched_getaffinity on this platform
     _HELPERS = (os.cpu_count() or 1) - 1
 _POOL = ThreadPoolExecutor(max(_HELPERS, 1), thread_name_prefix="xcorr-rows")
+
+
+def _record(obj):
+    """A result record as JSON values, one key per dataclass field: an ndarray
+    becomes its ``tolist()`` and a list or tuple a list, element by element."""
+
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, (list, tuple)):
+            return [value(e) for e in v]
+        return v
+
+    return {f.name: value(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _frozen(arr):
@@ -134,10 +151,11 @@ def _each(fn, items):
     return results
 
 
-def _standardized_rows(x, f=None, out=None):
+def _standardized_rows(x, names, f=None, out=None):
     """``(y - y.mean(1)) / y.std(1)`` for ``y = f(x)`` (or `x`), bit for bit, in
     one row-block pass, and a mask of the zero-variance rows, which are left
-    centred rather than divided.
+    centred rather than divided.  A row whose variance overflows is a
+    ValueError naming it (`names` holds the row names).
 
     The result goes to `out`, a new array unless given; `out` may be `x`
     itself, which is then standardized in place.
@@ -149,8 +167,12 @@ def _standardized_rows(x, f=None, out=None):
 
     def scale(b):
         y = x[b] if f is None else f(x[b], out=out[b])
-        d = np.subtract(y, np.add.reduce(y, axis=1, keepdims=True) / t, out=out[b])
-        stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.subtract(y, np.add.reduce(y, axis=1, keepdims=True) / t, out=out[b])
+            stds = np.sqrt(np.add.reduce(d * d, axis=1, keepdims=True) / t)
+        huge = ~np.isfinite(stds[:, 0])
+        if huge.any():
+            raise ValueError(_TOO_LARGE.format(names[b.start + huge.argmax()]))
         flat[b] = stds[:, 0] == 0
         np.divide(d, stds, out=d, where=stds != 0)
 
@@ -259,17 +281,22 @@ class ReturnPanel:
             if not np.isfinite(x[b]).all():
                 raise ValueError("returns contain non-finite values")
             if self.standardized:
-                means[b] = np.add.reduce(x[b], axis=1) / t
-                d = x[b] - means[b, None]
-                variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
+                with np.errstate(over="ignore", invalid="ignore"):
+                    means[b] = np.add.reduce(x[b], axis=1) / t
+                    d = x[b] - means[b, None]
+                    variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
 
         _each_block(check, x)
         if self.standardized:
             bad = np.flatnonzero(
-                (np.abs(means) >= MEAN_TOL) | (np.abs(variances - 1.0) >= VAR_TOL)
+                ~np.isfinite(variances)
+                | (np.abs(means) >= MEAN_TOL)
+                | (np.abs(variances - 1.0) >= VAR_TOL)
             )
             if bad.size:
                 k = bad[0]
+                if not np.isfinite(variances[k]):
+                    raise ValueError(_TOO_LARGE.format(self.assets[k]))
                 raise ValueError(
                     f"row {self.assets[k]!r} is not standardized "
                     f"(mean={means[k]:.3e}, var={variances[k]:.10f})"
@@ -298,7 +325,7 @@ def log_returns(p: PricePanel) -> ReturnPanel:
 def standardize(r: ReturnPanel) -> ReturnPanel:
     """Shift/scale each row to mean 0, population variance 1 (divisor T), with
     the bits of ``(x - x.mean(1)) / x.std(1)``."""
-    out, flat = _standardized_rows(r.returns)
+    out, flat = _standardized_rows(r.returns, r.assets)
     if flat.any():
         raise ValueError(f"cannot standardize zero-variance series {r.assets[flat.argmax()]!r}")
     return replace(r, returns=_frozen(out), standardized=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each, standardize
+from .panel import ReturnPanel, _each, _record, standardize
 
 __all__ = [
     "CorrelationMatrix",
@@ -107,11 +107,14 @@ class EigenSpectrum:
         return self.eigenvalues.size
 
     def to_dict(self):
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors_row_major": self.eigenvectors.tolist(),
-            "source_q": self.source_q,
-        }
+        d = _record(self)
+        d["eigenvectors_row_major"] = d.pop("eigenvectors")
+        return d
+
+
+def _mp_edges(q):
+    """The closed-form bulk edges 1 + 1/Q -/+ 2/sqrt(Q)."""
+    return 1.0 + 1.0 / q - 2.0 / math.sqrt(q), 1.0 + 1.0 / q + 2.0 / math.sqrt(q)
 
 
 @dataclass
@@ -125,8 +128,7 @@ class MpBounds:
     def __post_init__(self):
         if not self.q > 0:
             raise ValueError(f"Q must be positive, got {self.q}")
-        lo = 1.0 + 1.0 / self.q - 2.0 / math.sqrt(self.q)
-        hi = 1.0 + 1.0 / self.q + 2.0 / math.sqrt(self.q)
+        lo, hi = _mp_edges(self.q)
         if abs(self.lambda_min - lo) > 1e-12 or abs(self.lambda_max - hi) > 1e-12:
             raise ValueError("bounds do not match the closed form for this Q")
         if self.lambda_min > self.lambda_max:
@@ -136,8 +138,7 @@ class MpBounds:
     def width(self):
         return self.lambda_max - self.lambda_min
 
-    def to_dict(self):
-        return {"q": self.q, "lambda_min": self.lambda_min, "lambda_max": self.lambda_max}
+    to_dict = _record
 
 
 @dataclass
@@ -157,16 +158,7 @@ class ElementDistribution:
     degenerate: bool
     n_entries: int
 
-    def to_dict(self):
-        return {
-            "bin_edges": self.bin_edges.tolist(),
-            "densities": self.densities.tolist(),
-            "gaussian_mu": self.gaussian_mu,
-            "gaussian_sigma": self.gaussian_sigma,
-            "tail_deviation": self.tail_deviation,
-            "degenerate": self.degenerate,
-            "n_entries": self.n_entries,
-        }
+    to_dict = _record
 
 
 def _gram(m):
@@ -229,11 +221,7 @@ def mp_bounds(q: float) -> MpBounds:
     if not q > 0:
         raise ValueError(f"Q must be positive, got {q}")
     q = float(q)
-    return MpBounds(
-        q=q,
-        lambda_min=1.0 + 1.0 / q - 2.0 / math.sqrt(q),
-        lambda_max=1.0 + 1.0 / q + 2.0 / math.sqrt(q),
-    )
+    return MpBounds(q, *_mp_edges(q))
 
 
 def overlap_fraction(s: EigenSpectrum, b: MpBounds) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _standardized_rows
+from .panel import ReturnPanel, _each_block, _frozen, _record, _standardized_rows
 from .synth import _stream
 
 __all__ = [
@@ -56,8 +56,7 @@ class SurrogateSpec:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(self.seed)
 
-    def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed}
+    to_dict = _record
 
 
 def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
@@ -130,7 +129,7 @@ def shuffle_magnitudes(r: ReturnPanel, seed) -> ReturnPanel:
 
 def _replace_rows(r: ReturnPanel, f, what: str) -> ReturnPanel:
     """Standardize the rows of ``f(r.returns)``, dropping zero-variance ones with a warning."""
-    rows, flat = _standardized_rows(r.returns, f)
+    rows, flat = _standardized_rows(r.returns, r.assets, f)
     for name in [a for a, k in zip(r.assets, flat) if k]:
         warnings.warn(f"asset {name} has constant {what}; dropped")
     if flat.all():

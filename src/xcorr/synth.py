@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _each, _each_block, _frozen, _standardized_rows
+from .panel import ReturnPanel, _each, _each_block, _frozen, _record, _standardized_rows
 
 __all__ = [
     "MarketModel",
@@ -98,21 +98,7 @@ class MarketModel:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         self.seed = int(self.seed)
 
-    def to_dict(self):
-        return {
-            "n_assets": self.n_assets,
-            "t_length": self.t_length,
-            "bars_per_day": self.bars_per_day,
-            "market_loading": self.market_loading,
-            "sector_spec": [[c, l] for c, l in self.sector_spec],
-            "idiosyncratic_sigma": self.idiosyncratic_sigma,
-            "intraday_profile": None
-            if self.intraday_profile is None
-            else self.intraday_profile.tolist(),
-            "vol_clustering": None if self.vol_clustering is None else list(self.vol_clustering),
-            "seed": self.seed,
-            "dt_seconds": self.dt_seconds,
-        }
+    to_dict = _record
 
 
 def _stream(seed, stream_id):
@@ -211,9 +197,10 @@ def generate(m: MarketModel) -> ReturnPanel:
         _each_block(scale, rows)
 
     # A constant row stays centred, and the panel's validation names it.
-    _standardized_rows(rows, out=rows)
+    assets = [f"SYN{k:03d}" for k in range(m.n_assets)]
+    _standardized_rows(rows, assets, out=rows)
     return ReturnPanel(
-        assets=[f"SYN{k:03d}" for k in range(m.n_assets)],
+        assets=assets,
         returns=_frozen(rows),
         standardized=True,
         bars_per_day=m.bars_per_day,

@@ -17,7 +17,7 @@ import xcorr.cli
 import xcorr.modes
 from xcorr.cli import export_panel, ingest, main
 from xcorr.modes import remove_modes_iterative
-from xcorr.panel import PricePanel, ReturnPanel, log_returns
+from xcorr.panel import PricePanel, ReturnPanel, log_returns, standardize
 from xcorr.spectrum import correlation_matrix, eigendecompose, mp_bounds, overlap_fraction
 from xcorr.synth import MarketModel, generate
 
@@ -141,6 +141,18 @@ class TestPanelRoundTrip:
         export_panel(panel_4x64, path, extra_comments=["config_hash: abc", "note: hello"])
         back = ingest(str(path), "panel")
         assert np.array_equal(back.returns, panel_4x64.returns)
+
+    def test_metadata_after_the_header_is_a_comment(self, tmp_path):
+        rng = np.random.default_rng(3)
+        r = standardize(_panel(rng.standard_normal((3, 40)), bars_per_day=10))
+        path = tmp_path / "late.csv"
+        export_panel(r, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[20:20] = ["# bars_per_day: 4\n", "# standardized: false\n"]
+        path.write_text("".join(lines))
+        back = ingest(str(path), "panel")
+        assert (back.bars_per_day, back.standardized) == (10, True)
+        assert back.returns.tobytes() == r.returns.tobytes()
 
     def test_magic_header_required(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -272,9 +284,11 @@ class TestWideIngest:
         want = np.array([_reference_forward_fill(row) for row in prices])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got, names = xcorr.cli._fill_missing(prices.copy(), list("ABCDEF"))
-        assert names == list("ABCDEF")
-        assert got.tobytes() == want.tobytes()
+            filled = prices.copy()
+            got = xcorr.cli._price_panel(filled, list("ABCDEF"), 60.0 * np.arange(400), 1)
+        assert got.assets == list("ABCDEF")
+        assert got.prices.tobytes() == want.tobytes()
+        assert got.prices is filled  # filled in place, and taken without a copy
 
     def test_header_without_rows_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "hdr_only.csv"
@@ -748,6 +762,13 @@ class TestMainReport:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert "--factors" in err["error"]
+
+    def test_bad_factors_fail_before_out_is_created(self, tmp_path, capsys):
+        out = tmp_path / "fo"
+        rc = main(["report", "--preset", "mp_null", "--factors", "abc", "--out", str(out)])
+        assert rc == 1
+        assert "--factors" in _stderr_json(capsys)["error"]
+        assert not out.exists()
 
     def test_input_spectrum_is_reused_for_factor_one(self, panel_file, tmp_path, monkeypatch):
         calls = []

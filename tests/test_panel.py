@@ -325,6 +325,37 @@ class TestLaterRowBlocks:
             ReturnPanel(_assets(), x, True, 1, 60.0)
 
 
+class TestTooLargeToStandardize:
+    """The squares of values above about 1e154 overflow float64.  pytest turns
+    the RuntimeWarning that would give into an error, in helper threads too."""
+
+    @pytest.mark.parametrize("helpers", [0, 3])
+    @pytest.mark.parametrize("huge", [
+        lambda row: row * 1e160,
+        # numpy's sum keeps eight partial sums, here four reach +inf and four
+        # -inf: the row mean is nan.
+        lambda row: np.where(np.arange(row.size) % 8 < 4, 1e308, -1e308),
+    ], ids=["squares_overflow", "mean_is_nan"])
+    @pytest.mark.parametrize("build", [
+        lambda x: standardize(ReturnPanel(_assets(40), x, False, 1, 60.0)),
+        lambda x: xcorr.surrogate.magnitudes_only(ReturnPanel(_assets(40), x, False, 1, 60.0)),
+        lambda x: ReturnPanel(_assets(40), x, True, 1, 60.0),
+    ], ids=["standardize", "magnitudes_only", "standardized_panel"])
+    def test_first_huge_row_is_named(self, monkeypatch, helpers, huge, build):
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        x = standardize(ReturnPanel(_assets(40), _rows(40), False, 1, 60.0)).returns.copy()
+        x[21] = huge(x[21])
+        x[33] *= 1e300
+        with pytest.raises(ValueError, match="^row 'A21' has values too large to standardize"):
+            build(x)
+
+    @pytest.mark.parametrize("loading", ["idiosyncratic_sigma", "market_loading"])
+    def test_generate_names_the_row(self, loading):
+        m = MarketModel(n_assets=4, t_length=200, bars_per_day=10, **{loading: 1e200})
+        with pytest.raises(ValueError, match="^row 'SYN000' has values too large to standardize"):
+            generate(m)
+
+
 def _top_signal(s):
     (z,) = eigensignals(s, eigendecompose(correlation_matrix(s)), [1])
     return z
@@ -378,7 +409,7 @@ def _four_blocks():
 
 def _blocked_outputs(raw):
     s = standardize(raw)
-    signs, flat = _standardized_rows(raw.returns, np.sign)
+    signs, flat = _standardized_rows(raw.returns, raw.assets, np.sign)
     built = ReturnPanel(s.assets, s.returns, True, s.bars_per_day, s.dt_seconds)
     surrogates = [apply_surrogate(s, SurrogateSpec(kind, 7)).returns for kind in KINDS]
     return [s.returns, signs, flat, built.returns, *surrogates]

@@ -246,6 +246,53 @@ class TestSerialErrors:
         with pytest.raises(ValueError, match="^line 2002: expected 4 fields, got 2$"):
             ingest(str(path), "wide", bars_per_day=7)
 
+    @pytest.mark.parametrize("count", HELPERS)
+    def test_panel_bad_value_before_short_line_wins(self, tmp_path, helpers, monkeypatch,
+                                                     count):
+        path = tmp_path / "panel.csv"
+        export_panel(_returns(3, 5000, seed=10), path)
+        lines = _bytes(path).decode().splitlines(keepends=True)
+        # The short line at bar 4900 ends the scan, so 4900 lines are parsed;
+        # the bad value lies 11 lines into the second part.
+        bad = _cuts(4900, max(count, 1))[1] + 11
+        lines[HEADER_LINES + bad] = f"{bad},1.0,x,2.0\n"
+        lines[HEADER_LINES + 4900] = "4900,1.0\n"
+        path.write_text("".join(lines))
+        helpers(count)
+        parse, one_line, parent = cli._parse_panel_rows, [], os.getpid()
+
+        def counted(lines, n_fields):
+            if len(lines) == 1 and os.getpid() == parent:
+                one_line.append(1)
+            return parse(lines, n_fields)
+
+        monkeypatch.setattr(cli, "_parse_panel_rows", counted)
+        with pytest.raises(ValueError, match=f"^line {HEADER_LINES + bad + 1}: unparseable "
+                                             "value in panel file$"):
+            ingest(str(path), "panel")
+        # The caller looks for the bad line one line at a time in its part only.
+        assert len(one_line) == (12 if count else bad + 1)
+        lines[HEADER_LINES + 40] = "40,1.0\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^line {HEADER_LINES + 41}: expected 4 fields, "
+                                             "got 2$"):
+            ingest(str(path), "panel")
+
+    @pytest.mark.parametrize("count", HELPERS)
+    def test_long_first_bad_line_wins(self, tmp_path, helpers, count):
+        rows = ["0,A,100", "0,B,50", "0,A,101", "60,A,102", "60,B,51", "120,A,103",
+                "120,B,52", "180,A,104", "240,A,oops"]
+        path = tmp_path / "long.csv"
+        path.write_text("t,asset,price\n" + "\n".join(rows) + "\n")
+        helpers(count)
+        with pytest.raises(ValueError, match=r"^line 4: duplicate \(timestamp, asset\) = "
+                                             r"\(0\.0, A\)$"):
+            ingest(str(path), "long", bars_per_day=1)
+        rows[1] = "0,B,oops"
+        path.write_text("t,asset,price\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="^line 3: unparseable price 'oops' for B$"):
+            ingest(str(path), "long", bars_per_day=1)
+
 
 @needs_fork
 class TestFailedChild:

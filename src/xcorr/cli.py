@@ -304,12 +304,19 @@ def _read_panel_csv(path) -> ReturnPanel:
         try:
             return _parse_panel_rows(lines[lo:hi], len(header))
         except ValueError:
-            # Find the part's first bad line with the same parser, one line at a time.
-            for k in range(lo, hi):
+            # Bisect for the part's first bad line with the same parser: a run
+            # of lines that parses holds no bad line, so [lo, hi) keeps one.
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
                 try:
-                    _parse_panel_rows([lines[k]], len(header))
+                    _parse_panel_rows(lines[lo:mid], len(header))
+                    lo = mid
                 except ValueError:
-                    raise ValueError(f"line {linenos[k]}: unparseable value in panel file") from None
+                    hi = mid
+            try:
+                _parse_panel_rows(lines[lo:hi], len(header))
+            except ValueError:
+                raise ValueError(f"line {linenos[lo]}: unparseable value in panel file") from None
             raise
 
     if lines:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _record
+from .panel import _integer, _record
 
 __all__ = [
     "MfdfaConfig",
@@ -73,6 +73,8 @@ class MfdfaConfig:
         q = np.array(self.q_grid, dtype=float)
         if q.ndim != 1 or q.size < 5:
             raise ValueError("q_grid must be a 1-D array of at least 5 moments")
+        if not np.isfinite(q).all():
+            raise ValueError(f"q_grid must hold finite moments, got {q.tolist()}")
         if (np.diff(q) <= 0).any():
             raise ValueError("q_grid must be strictly increasing")
         small = (np.abs(q) < 0.1) & (q != 0.0)
@@ -81,12 +83,20 @@ class MfdfaConfig:
                 "q values in (-0.1, 0.1) other than exactly 0 are not allowed "
                 "(the generalized mean is ill-conditioned there)"
             )
+        self.detrend_order = _integer(self.detrend_order, "detrend_order")
         if self.detrend_order < 1:
             raise ValueError("detrend_order must be a positive integer")
         if self.scale_grid is not None:
-            s = np.array(self.scale_grid, dtype=int)
+            s = np.array(self.scale_grid)
             if s.ndim != 1:
                 raise ValueError("scale_grid must be a 1-D array of segment lengths")
+            if s.dtype.kind not in "iu":
+                whole = np.array(s, dtype=float)
+                if not (np.isfinite(whole) & (whole == np.trunc(whole))).all():
+                    raise ValueError(
+                        f"scale_grid must hold whole segment lengths, got {s.tolist()}"
+                    )
+            s = s.astype(int)
             if s.size < 5:
                 raise ValueError(f"need at least 5 scales to fit h(q), got {s.size}")
             if (np.diff(s) <= 0).any():
@@ -216,10 +226,11 @@ def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     bwd = y[y.size - m * n :].reshape(m, n)
     segments = np.vstack([fwd, bwd])
 
-    # The trend is each segment's projection on the polynomial basis.
+    # The trend is each segment's projection on the polynomial basis; the
+    # stacked copy is detrended and squared in place.
     basis = _detrend_basis(n, l)
-    resid = segments - (segments @ basis) @ basis.T
-    return (resid**2).mean(axis=1)
+    segments -= (segments @ basis) @ basis.T
+    return np.square(segments, out=segments).mean(axis=1)
 
 
 def fluctuation(variances, q_grid) -> np.ndarray:
@@ -347,6 +358,7 @@ def binomial_cascade(p: float, n_levels: int) -> np.ndarray:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    n_levels = _integer(n_levels, "n_levels")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     k = np.arange(2**n_levels, dtype=np.int64)

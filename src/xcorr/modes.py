@@ -157,13 +157,18 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
     else:
         resid = np.empty_like(m)
     alphas, res_var, dots = np.empty(n), np.empty(n), np.empty(n)
+    t = r.t_length
 
     def regress(b):
         e = resid[b]
         alphas[b] = m[b].mean(axis=1) - betas[b] * z_mean
         np.subtract(m[b], alphas[b, None], out=e)
-        e -= betas[b, None] * series
-        res_var[b] = e.var(axis=1)
+        # The block's one scratch holds beta z, then the centred residual
+        # whose squares give e.var(axis=1) with the operations of numpy's var.
+        w = np.multiply(betas[b, None], series)
+        e -= w
+        np.subtract(e, np.add.reduce(e, axis=1, keepdims=True) / t, out=w)
+        res_var[b] = np.add.reduce(np.multiply(w, w, out=w), axis=1) / t
         dots[b] = e @ series
         v = res_var[b, None]
         np.divide(e, np.sqrt(v), out=e, where=v >= RESIDUAL_VAR_TOL)

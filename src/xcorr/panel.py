@@ -180,6 +180,14 @@ def _standardized_rows(x, names, f=None, out=None):
     return out, flat
 
 
+def _integer(value, name):
+    """`value` as an int if it is a Python or numpy integer, else a ValueError
+    naming `name`: a float would be truncated or leak a TypeError later."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _bars_per_day(value):
     """`value` as an int in [1, 2**63), or a ValueError naming bars_per_day."""
     try:
@@ -278,11 +286,15 @@ class ReturnPanel:
         means, variances = np.empty(n), np.empty(n)
 
         def check(b):
-            if not np.isfinite(x[b]).all():
+            # A row of finite values has a finite sum unless the sum
+            # overflows, so only a block with a non-finite sum is scanned.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = np.add.reduce(x[b], axis=1)
+            if not np.isfinite(sums).all() and not np.isfinite(x[b]).all():
                 raise ValueError("returns contain non-finite values")
             if self.standardized:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    means[b] = np.add.reduce(x[b], axis=1) / t
+                    means[b] = sums / t
                     d = x[b] - means[b, None]
                     variances[b] = np.add.reduce(np.multiply(d, d, out=d), axis=1) / t
 

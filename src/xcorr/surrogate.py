@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .panel import ReturnPanel, _each_block, _frozen, _record, _standardized_rows
-from .synth import _stream
+from .synth import _seed, _stream
 
 __all__ = [
     "KINDS",
@@ -52,9 +52,7 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown surrogate kind {self.kind!r}; choose one of {KINDS}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(self.seed)
+        self.seed = _seed(self.seed)
 
     to_dict = _record
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _each, _each_block, _frozen, _record, _standardized_rows
+from .panel import ReturnPanel, _each_block, _frozen, _integer, _record, _standardized_rows
 
 __all__ = [
     "MarketModel",
@@ -32,10 +32,6 @@ _FACTOR_STREAM_BASE = 2**32
 # 1e77 keeps every scaled return, its square and a row's sum of squares far
 # inside the float range.
 _MAX_LOG_VOL = math.log(np.finfo(float).max) / 4
-
-# Elements per chunk of the time-major volatility buffer that one thread takes
-# through exp: 2 MB, 16 chunks at the presets' 100 x 40600.
-_VOL_CHUNK = 2**18
 
 
 @dataclass
@@ -61,44 +57,74 @@ class MarketModel:
     dt_seconds: float = 60.0
 
     def __post_init__(self):
+        self.n_assets = _integer(self.n_assets, "n_assets")
+        self.t_length = _integer(self.t_length, "t_length")
+        self.bars_per_day = _integer(self.bars_per_day, "bars_per_day")
         if self.n_assets < 1 or self.t_length < 2:
             raise ValueError("need n_assets >= 1 and t_length >= 2")
         if self.bars_per_day < 1:
             raise ValueError("bars_per_day must be positive")
-        if self.market_loading < 0:
-            raise ValueError("market_loading must be non-negative")
-        if not self.idiosyncratic_sigma > 0:
-            raise ValueError("idiosyncratic_sigma must be positive")
-        total = sum(count for count, _ in self.sector_spec)
+        if not 0 <= self.market_loading < math.inf:
+            raise ValueError(
+                f"market_loading must be finite and non-negative, got {self.market_loading!r}"
+            )
+        if not 0 < self.idiosyncratic_sigma < math.inf:
+            raise ValueError(
+                f"idiosyncratic_sigma must be finite and positive, got {self.idiosyncratic_sigma!r}"
+            )
+        total = 0
+        for entry in self.sector_spec:
+            try:
+                count, loading = entry
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"sector_spec entry {entry!r} is not a (count, loading) pair"
+                ) from None
+            count = _integer(count, "sector_spec count")
+            if count < 1 or not 0 <= loading < math.inf:
+                raise ValueError(
+                    f"sector_spec entry {entry!r}: each sector needs count >= 1 "
+                    "and a finite loading >= 0"
+                )
+            total += count
         if total > self.n_assets:
             raise ValueError(
                 f"sector members ({total}) exceed n_assets ({self.n_assets})"
             )
-        for count, loading in self.sector_spec:
-            if count < 1 or loading < 0:
-                raise ValueError("each sector needs count >= 1 and loading >= 0")
         if self.intraday_profile is not None:
             u = np.array(self.intraday_profile, dtype=float)
             if u.shape != (self.bars_per_day,):
                 raise ValueError("intraday_profile must have length bars_per_day")
-            if (u <= 0).any():
-                raise ValueError("intraday_profile must be strictly positive")
+            if not ((u > 0) & (u < np.inf)).all():
+                raise ValueError("intraday_profile must be finite and strictly positive")
             if abs(np.log(u).mean()) > 1e-8:
                 raise ValueError("intraday_profile must have unit geometric mean")
             u.setflags(write=False)
             self.intraday_profile = u
         if self.vol_clustering is not None:
-            a, vol_of_vol = self.vol_clustering
+            try:
+                a, vol_of_vol = self.vol_clustering
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"vol_clustering {self.vol_clustering!r} is not a "
+                    "(persistence, vol-of-vol) pair"
+                ) from None
             if not 0.0 <= a < 1.0:
                 raise ValueError("volatility persistence must be in [0, 1)")
             if not 0 <= vol_of_vol < math.inf:
                 raise ValueError("vol-of-vol must be finite and non-negative")
             self.vol_clustering = (float(a), float(vol_of_vol))
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = int(self.seed)
+        self.seed = _seed(self.seed)
 
     to_dict = _record
+
+
+def _seed(value):
+    """A stream seed: an integer that fits in an unsigned 64-bit word."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
 
 
 def _stream(seed, stream_id):
@@ -126,17 +152,19 @@ def generate(m: MarketModel) -> ReturnPanel:
     the panel is reproducible regardless of generation order.  The per-asset
     draws, the volatility scaling and the standardization each run as one
     row-block pass (:func:`xcorr.panel._each_block`), blocks of assets shared
-    out among threads, all in the one (N, T) array that becomes the panel, so
-    the bits do not depend on the thread count.
+    out among threads.  The draws go straight into the one (N, T) array that
+    becomes the panel and into an (N, T) log-volatility buffer, and every
+    later step writes in place, so the bits do not depend on the thread count.
 
     The log-volatility recursion v_k(j) = a*v_k(j-1) + s*eta_k(j), with
     stationary start v_k(0) = eta_k(0)*s/sqrt(1-a^2), is stepped over time once
-    for all assets on a time-major (T, N) buffer.  Each element goes through
-    the same IEEE operations as the per-asset definition (only the operands of
-    commutative multiplies and adds swap), so every row is bit-identical to
-    running the recursion asset by asset.  Its exp runs over contiguous chunks
-    shared out among threads; a log-volatility above ``_MAX_LOG_VOL`` is an
-    error that names ``vol_clustering``, raised before any return is scaled.
+    for all assets, one column of the buffer per step.  Each element goes
+    through the same IEEE operations as the per-asset definition (only the
+    operands of commutative multiplies and adds swap), so every row is
+    bit-identical to running the recursion asset by asset.  The scaling pass
+    takes each row block through exp, the volatility and the intraday
+    profile; a log-volatility above ``_MAX_LOG_VOL`` is an error that names
+    ``vol_clustering``, raised by the first such block before its exp.
     """
     t = m.t_length
     market = _stream(m.seed, _FACTOR_STREAM_BASE).standard_normal(t)
@@ -147,40 +175,36 @@ def generate(m: MarketModel) -> ReturnPanel:
     sector_idx, sector_beta = _sector_assignment(m)
 
     rows = np.empty((m.n_assets, t))
-    # Time-major log-volatility buffer: column k holds asset k's innovations.
-    v = None if m.vol_clustering is None else np.empty((t, m.n_assets))
+    # Log-volatility buffer: row k holds asset k's scaled innovations, then v_k.
+    v = None
+    if m.vol_clustering is not None:
+        v = np.empty((m.n_assets, t))
+        a, s = m.vol_clustering
+        s0 = s / math.sqrt(1.0 - a * a) if a > 0 else s
     common = m.market_loading * market
 
     def draw(b):
         for k in range(*b.indices(m.n_assets)):
             rng = _stream(m.seed, k)
-            g = common + m.idiosyncratic_sigma * rng.standard_normal(t)
+            # common + sigma * eps (+ beta * S), one IEEE operation at a time.
+            g = rng.standard_normal(out=rows[k])
+            g *= m.idiosyncratic_sigma
+            g += common
             if sector_idx[k] >= 0:
-                g = g + sector_beta[k] * sectors[sector_idx[k]]
-            rows[k] = g
+                g += sector_beta[k] * sectors[sector_idx[k]]
             if v is not None:
-                v[:, k] = rng.standard_normal(t)
+                eta = rng.standard_normal(out=v[k])
+                eta[0] *= s0
+                eta[1:] *= s
 
     _each_block(draw, rows)
 
     if v is not None:
-        a, s = m.vol_clustering
-        v[0] *= s / math.sqrt(1.0 - a * a) if a > 0 else s
-        v[1:] *= s
-        for j in range(1, t):
-            v[j] += a * v[j - 1]
-
-        def exp(c):
-            top = c.max()
-            if top > _MAX_LOG_VOL:
-                raise ValueError(
-                    f"vol_clustering={m.vol_clustering} drives the log-volatility to "
-                    f"{top:.6g}, above {_MAX_LOG_VOL:.6g}: the scaled returns would overflow"
-                )
-            np.exp(c, out=c)
-
-        step = max(1, _VOL_CHUNK // m.n_assets)
-        _each(exp, [v[j : j + step] for j in range(0, t, step)])
+        cols = iter(v.T)  # one view per step; a list of them would hold T views
+        prev = next(cols)
+        for cur in cols:
+            cur += a * prev
+            prev = cur
 
     u = None
     if m.intraday_profile is not None:
@@ -189,7 +213,14 @@ def generate(m: MarketModel) -> ReturnPanel:
 
     def scale(b):
         if v is not None:
-            rows[b] *= v[:, b].T
+            w = v[b]
+            top = w.max()
+            if top > _MAX_LOG_VOL:
+                raise ValueError(
+                    f"vol_clustering={m.vol_clustering} drives the log-volatility to "
+                    f"{top:.6g}, above {_MAX_LOG_VOL:.6g}: the scaled returns would overflow"
+                )
+            rows[b] *= np.exp(w, out=w)
         if u is not None:
             rows[b] *= u
 

@@ -30,6 +30,29 @@ def _white_noise(t=8000, seed=55):
     return rng.standard_normal(t)
 
 
+class TestInPlaceDetrending:
+    """segment_variances detrends and squares its stacked segments in place,
+    with the bits of the whole-array expression it replaced."""
+
+    @staticmethod
+    def reference(y, n, l):
+        m = y.size // n
+        segments = np.vstack([y[: m * n].reshape(m, n), y[y.size - m * n :].reshape(m, n)])
+        basis = xcorr.mfdfa._detrend_basis(n, l)
+        resid = segments - (segments @ basis) @ basis.T
+        return (resid**2).mean(axis=1)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("series", [_white_noise, lambda: binomial_cascade(0.3, 13)],
+                             ids=["random_walk", "cascade"])
+    def test_bits_of_the_whole_array_expression(self, series, l):
+        x = series()
+        y = profile(x)
+        scales = default_scales(x.size)
+        for n in (int(scales[0]), int(scales[-1])):
+            assert np.array_equal(segment_variances(y, n, l), self.reference(y, n, l)), n
+
+
 class TestProfile:
     def test_alternating_series(self):
         assert np.array_equal(profile([1.0, -1.0, 1.0, -1.0]), [1.0, 0.0, 1.0, 0.0])
@@ -198,6 +221,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="increasing"):
             MfdfaConfig(q_grid=np.array([2.0, 1.0, 0.0, -1.0, -2.0]))
 
+    @pytest.mark.parametrize("q", [[-2.0, -1.0, math.nan, 1.0, 2.0],
+                                   [-math.inf, -1.0, 0.0, 1.0, 2.0]], ids=["nan", "-inf"])
+    def test_rejects_non_finite_q(self, q):
+        # NaN compares false, so the increasing check alone lets it through
+        # to fail later as "fluctuation surface must be finite and positive".
+        with pytest.raises(ValueError, match="q_grid must hold finite moments"):
+            MfdfaConfig(q_grid=q)
+
+    @pytest.mark.parametrize("order", [2.5, "2"])
+    def test_rejects_non_integer_detrend_order(self, order):
+        with pytest.raises(ValueError, match="detrend_order must be an integer"):
+            MfdfaConfig(detrend_order=order)
+
+    def test_rejects_fractional_scales(self):
+        # A cast to int would truncate these to [16, 20, 30, 40, 50].
+        with pytest.raises(ValueError, match="scale_grid must hold whole segment lengths"):
+            MfdfaConfig(scale_grid=[16.5, 20.7, 30, 40, 50])
+        whole = MfdfaConfig(scale_grid=[16.0, 20, 30, 40, 50], detrend_order=np.int64(2))
+        assert whole.scale_grid.tolist() == [16, 20, 30, 40, 50]
+        assert type(whole.detrend_order) is int
+
     def test_rejects_scale_below_fit_window(self):
         with pytest.raises(ValueError, match="detrend_order"):
             MfdfaConfig(detrend_order=3, scale_grid=np.array([4, 8, 16, 32, 64]))
@@ -316,6 +360,11 @@ class TestCascadeBenchmark:
             binomial_cascade(1.0, 4)
         with pytest.raises(ValueError, match="n_levels"):
             binomial_cascade(0.3, 0)
+
+    def test_cascade_rejects_non_integer_levels(self):
+        with pytest.raises(ValueError, match="n_levels must be an integer, got 2.5"):
+            binomial_cascade(0.3, 2.5)
+        assert np.array_equal(binomial_cascade(0.3, np.int32(3)), binomial_cascade(0.3, 3))
 
     def test_h_matches_closed_form(self):
         # h(q) = 1/q - log2(p^q + (1-p)^q)/q for the p = 0.3 cascade.

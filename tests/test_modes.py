@@ -448,6 +448,38 @@ class TestRemovalBuffers:
             assert all(np.array_equal(got, expect) for got, expect in zip(run, runs[0]))
 
 
+class TestRegressionScratch:
+    """`_regress_out` takes each row block through one scratch array, with the
+    bits of the whole-panel expressions, ``e.var(axis=1)`` among them."""
+
+    @staticmethod
+    def reference(m, series):
+        z_mean = series.mean()
+        zc = series - z_mean
+        betas = (m @ zc) / (zc @ zc)
+        alphas = m.mean(axis=1) - betas * z_mean
+        e = m - alphas[:, None]
+        e -= betas[:, None] * series
+        res_var = e.var(axis=1)
+        return e / np.sqrt(res_var)[:, None], res_var, alphas, betas
+
+    @pytest.mark.parametrize("in_place", [False, True])
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    def test_residuals_and_variances_match_numpy_var(self, monkeypatch, helpers, in_place):
+        # 60 assets: row blocks of 16, 16, 16 and 12.
+        p = _two_sector_panel()
+        (z,) = eigensignals(p, eigendecompose(correlation_matrix(p)), [1])
+        resid, res_var, alphas, betas = self.reference(p.returns, z.series)
+        assert (res_var >= xcorr.modes.RESIDUAL_VAR_TOL).all()
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        if in_place:
+            p = ReturnPanel(p.assets, xcorr.panel._frozen(p.returns.copy()), True, 100, 60.0)
+        out, a, b, dropped = xcorr.modes._regress_out(p, z, in_place=in_place)
+        assert dropped == []
+        assert np.array_equal(out.returns, resid)
+        assert np.array_equal(a, alphas) and np.array_equal(b, betas)
+
+
 class TestResidualPanelValidation:
     def test_bookkeeping_lengths_must_agree(self, panel_4x64):
         s = eigendecompose(correlation_matrix(panel_4x64))

@@ -356,6 +356,40 @@ class TestTooLargeToStandardize:
             generate(m)
 
 
+class TestFinitenessFromRowSums:
+    """The check reads finiteness from its row sums and scans only a block
+    whose sum is not finite, with the verdicts of a scan of every value."""
+
+    @staticmethod
+    def overflowing_sum(t=64):
+        row = -np.ones(t)
+        row[:2] = 1e308
+        return row
+
+    def test_finite_row_whose_sum_overflows_is_accepted_raw(self):
+        x = _rows(3)
+        x[1] = self.overflowing_sum()
+        p = ReturnPanel(_assets(3), x, False, 1, 60.0)
+        assert np.array_equal(p.returns, x)
+
+    def test_same_row_is_too_large_to_standardize(self):
+        x = standardize(ReturnPanel(_assets(3), _rows(3), False, 1, 60.0)).returns.copy()
+        x[1] = self.overflowing_sum()
+        with pytest.raises(ValueError, match="^row 'A1' has values too large to standardize"):
+            ReturnPanel(_assets(3), x, True, 1, 60.0)
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_non_finite_value_in_the_second_block(self, monkeypatch, helpers, bad,
+                                                   standardized):
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        x = standardize(ReturnPanel(_assets(50), _rows(50), False, 1, 60.0)).returns.copy()
+        x[20, 7] = bad
+        with pytest.raises(ValueError, match="^returns contain non-finite values$"):
+            ReturnPanel(_assets(50), x, standardized, 1, 60.0)
+
+
 def _top_signal(s):
     (z,) = eigensignals(s, eigendecompose(correlation_matrix(s)), [1])
     return z
@@ -676,6 +710,12 @@ class TestAllocationPeaks:
     def test_generate_builds_one_panel(self, raw):
         model = MarketModel(n_assets=256, t_length=4096, bars_per_day=1, market_loading=0.4)
         assert self.peak_ratio(lambda: generate(model), raw) <= 1.25
+
+    def test_generate_with_vol_clustering(self, raw):
+        # The (N, T) log-volatility buffer is the second panel-sized array.
+        model = MarketModel(n_assets=256, t_length=4096, bars_per_day=1, market_loading=0.4,
+                            vol_clustering=(0.9, 0.2))
+        assert self.peak_ratio(lambda: generate(model), raw) <= 2.2
 
     def test_standardized_construction(self, raw):
         s = standardize(raw)

@@ -59,6 +59,12 @@ class TestSurrogateSpec:
         with pytest.raises(ValueError, match="64-bit"):
             SurrogateSpec(kind="rotate_free", seed=2**64)
 
+    def test_seed_must_be_an_integer(self):
+        # Truncated, seed=1.5 would give seed=1's surrogate.
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            SurrogateSpec(kind="rotate_free", seed=1.5)
+        assert SurrogateSpec(kind="rotate_free", seed=np.int64(3)).seed == 3
+
     def test_to_dict(self):
         spec = SurrogateSpec(kind="shuffle_signs", seed=7)
         assert spec.to_dict() == {"kind": "shuffle_signs", "seed": 7}

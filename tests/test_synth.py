@@ -104,6 +104,39 @@ class TestMarketModelValidation:
                 MarketModel(n_assets=2, t_length=100, bars_per_day=10,
                             vol_clustering=(0.5, vol_of_vol))
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(market_loading=math.nan), "market_loading"),
+        (dict(market_loading=math.inf), "market_loading"),
+        (dict(idiosyncratic_sigma=math.inf), "idiosyncratic_sigma"),
+        (dict(sector_spec=[(2, math.nan)]), "sector_spec"),
+        (dict(sector_spec=[(2, math.inf)]), "sector_spec"),
+        (dict(intraday_profile=[math.nan, 1.0]), "intraday_profile"),
+        (dict(n_assets=2.0), "n_assets"),
+        (dict(t_length=2.5), "t_length"),
+        (dict(sector_spec=[(1.5, 0.3)]), "sector_spec"),
+        (dict(seed=1.9), "seed"),
+        (dict(vol_clustering=(0.5,)), "vol_clustering"),
+        (dict(sector_spec=[(2,)]), "sector_spec"),
+    ], ids=["loading_nan", "loading_inf", "sigma_inf", "sector_loading_nan",
+            "sector_loading_inf", "profile_nan", "n_assets_float", "t_length_float",
+            "sector_count_float", "seed_float", "vol_clustering_short", "sector_short"])
+    def test_rejects_non_finite_and_non_integer_fields(self, overrides, field):
+        # Unchecked, each passes or fails later as a TypeError, an unpacking
+        # error or an error naming a row, and a float seed is truncated.
+        kw = dict(n_assets=4, t_length=100, bars_per_day=2)
+        kw.update(overrides)
+        with pytest.raises(ValueError, match=field):
+            MarketModel(**kw)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        m = MarketModel(n_assets=np.int64(4), t_length=np.int32(100), bars_per_day=np.uint8(2),
+                        sector_spec=[(np.int16(2), 0.5)], seed=np.uint64(2**64 - 1))
+        assert (m.n_assets, m.t_length, m.bars_per_day, m.seed) == (4, 100, 2, 2**64 - 1)
+        assert all(type(v) is int for v in (m.n_assets, m.t_length, m.bars_per_day, m.seed))
+        ref = MarketModel(n_assets=4, t_length=100, bars_per_day=2, sector_spec=[(2, 0.5)],
+                          seed=2**64 - 1)
+        assert np.array_equal(generate(m).returns, generate(ref).returns)
+
     def test_to_dict_round_trip_fields(self):
         m = MarketModel(
             n_assets=5,
@@ -187,10 +220,11 @@ class TestGenerate:
 
     @pytest.mark.parametrize("helpers", [0, 1, 3], ids=lambda h: f"helpers{h}")
     def test_exp_in_many_chunks_matches_the_serial_loop(self, monkeypatch, helpers):
-        # 50 assets and 2048 elements per chunk: 75 chunks of 40 bars.
+        # 50 assets in row blocks of 3: the draws, the exp and scaling pass
+        # and the standardization each run over 17 blocks.
         m = preset("intraday", seed=37, n_assets=50, t_length=3000, vol_clustering=(0.9, 0.3))
         expect = per_asset_reference(m).returns
-        monkeypatch.setattr(xcorr.synth, "_VOL_CHUNK", 2048)
+        monkeypatch.setattr(xcorr.panel, "_ROW_BLOCK", 3)
         monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
         assert np.array_equal(generate(m).returns, expect)
 
@@ -201,10 +235,29 @@ class TestGenerate:
         # overflow would raise into an error, so none is raised.
         m = MarketModel(n_assets=20, t_length=2000, bars_per_day=10, market_loading=0.4,
                         vol_clustering=(0.999, 50.0))
-        monkeypatch.setattr(xcorr.synth, "_VOL_CHUNK", 2048)
         monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
         with pytest.raises(ValueError, match=r"^vol_clustering=\(0\.999, 50\.0\) drives the "
                                              r"log-volatility to .*: the scaled returns would overflow$"):
+            generate(m)
+
+    @pytest.mark.parametrize("helpers", [0, 1, 3], ids=lambda h: f"helpers{h}")
+    def test_overflow_reports_the_first_failing_row_block(self, monkeypatch, helpers):
+        # Three row blocks whose largest log-volatilities rise (about 69, 74
+        # and 80); with the limit between the first two, blocks 1 and 2 both
+        # fail and the error reports block 1's maximum, not the largest one.
+        a, s = 0.9, 10.0
+        m = MarketModel(n_assets=48, t_length=300, bars_per_day=10, vol_clustering=(a, s), seed=6)
+        logvol = np.empty((m.n_assets, m.t_length))
+        for k in range(m.n_assets):
+            eta = _stream(m.seed, k).standard_normal((2, m.t_length))[1]
+            logvol[k, 0] = eta[0] * s / math.sqrt(1.0 - a * a)
+            for j in range(1, m.t_length):
+                logvol[k, j] = a * logvol[k, j - 1] + s * eta[j]
+        tops = logvol.reshape(3, 16, -1).max(axis=(1, 2))
+        assert tops[0] < tops[1] < tops[2] < xcorr.synth._MAX_LOG_VOL
+        monkeypatch.setattr(xcorr.synth, "_MAX_LOG_VOL", (tops[0] + tops[1]) / 2)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        with pytest.raises(ValueError, match=f"drives the log-volatility to {tops[1]:.6g}, "):
             generate(m)
 
     def test_pooled_draws_hold_under_contention(self, monkeypatch):

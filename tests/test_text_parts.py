@@ -5,6 +5,7 @@ forked child may outlive the call that started it.
 """
 
 import contextlib
+import math
 import os
 import threading
 
@@ -259,24 +260,59 @@ class TestSerialErrors:
         lines[HEADER_LINES + 4900] = "4900,1.0\n"
         path.write_text("".join(lines))
         helpers(count)
-        parse, one_line, parent = cli._parse_panel_rows, [], os.getpid()
+        parse, calls, parent = cli._parse_panel_rows, [], os.getpid()
 
         def counted(lines, n_fields):
-            if len(lines) == 1 and os.getpid() == parent:
-                one_line.append(1)
+            if os.getpid() == parent:
+                calls.append(len(lines))
             return parse(lines, n_fields)
 
         monkeypatch.setattr(cli, "_parse_panel_rows", counted)
         with pytest.raises(ValueError, match=f"^line {HEADER_LINES + bad + 1}: unparseable "
                                              "value in panel file$"):
             ingest(str(path), "panel")
-        # The caller looks for the bad line one line at a time in its part only.
-        assert len(one_line) == (12 if count else bad + 1)
+        # The caller parses its own part, then bisects the failed part only:
+        # about two parses of that part over ceil(log2 n) + 2 calls.
+        cuts = _cuts(4900, count)
+        own, failed = (cuts[1], cuts[2] - cuts[1]) if count else (0, 4900)
+        assert len(calls) <= (1 if count else 0) + math.ceil(math.log2(failed)) + 2
+        assert sum(calls) <= own + 2 * failed + 1
         lines[HEADER_LINES + 40] = "40,1.0\n"
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=f"^line {HEADER_LINES + 41}: expected 4 fields, "
                                              "got 2$"):
             ingest(str(path), "panel")
+
+    @pytest.mark.parametrize("count", HELPERS)
+    def test_panel_bad_line_found_by_bisection(self, tmp_path, helpers, monkeypatch, count):
+        # One 5000-line part per process, a bad value 10 lines before the end
+        # of the last.  Every process, the failed child and the caller that
+        # redoes its part, finds the line in at most 30 parses.
+        bars = 5000 * (1 + count)
+        assert np.diff(_cuts(bars, count)).tolist() == [5000] * (1 + count)
+        path = tmp_path / "panel.csv"
+        export_panel(_returns(3, bars, seed=12), path)
+        lines = _bytes(path).decode().splitlines(keepends=True)
+        bad = bars - 10
+        lines[HEADER_LINES + bad] = f"{bad},1.0,2.0,1e999x\n"
+        path.write_text("".join(lines))
+        log = tmp_path / "calls.log"
+        parse = cli._parse_panel_rows
+
+        def counted(rows, n_fields):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()}\n".encode())
+            os.close(fd)
+            return parse(rows, n_fields)
+
+        monkeypatch.setattr(cli, "_parse_panel_rows", counted)
+        helpers(count)
+        with pytest.raises(ValueError, match=f"^line {HEADER_LINES + bad + 1}: unparseable "
+                                             "value in panel file$"):
+            ingest(str(path), "panel")
+        pids = log.read_text().split()
+        assert max(pids.count(pid) for pid in set(pids)) <= 30
+        assert pids.count(str(os.getpid())) <= (1 if count else 0) + 15
 
     @pytest.mark.parametrize("count", HELPERS)
     def test_long_first_bad_line_wins(self, tmp_path, helpers, count):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _integer, _record
+from .panel import _each, _integer, _real, _record
 
 __all__ = [
     "MfdfaConfig",
@@ -34,6 +34,9 @@ __all__ = [
 
 F_TOL = 1e-6
 ALPHA_TOL = 1e-6
+
+# Most levels of binomial_cascade: 2**30 points already take 8 GiB per array.
+_MAX_CASCADE_LEVELS = 30
 
 
 def default_q_grid() -> np.ndarray:
@@ -197,7 +200,9 @@ def profile(x) -> np.ndarray:
 @functools.lru_cache(maxsize=128)
 def _detrend_basis(n, l):
     """Orthonormal basis of the order-l polynomials on n centered coordinates
-    (conditioned at large n), read-only: every series shares one per scale."""
+    (conditioned at large n), read-only: every series shares one per scale.
+    Two threads may each build the same basis once; the QR is deterministic,
+    so either copy has the same bits."""
     basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True))
     basis.setflags(write=False)
     return basis
@@ -212,6 +217,8 @@ def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     polynomial is removed and the variance uses divisor n.
     Returns the 2M variances, forward segments first.
     """
+    n = _integer(n, "scale n")
+    l = _integer(l, "detrend order l")
     y = np.asarray(y, dtype=float)
     if l < 1:
         raise ValueError("detrend order must be >= 1")
@@ -224,13 +231,13 @@ def segment_variances(y, n: int, l: int = 2) -> np.ndarray:
     m = y.size // n
     fwd = y[: m * n].reshape(m, n)
     bwd = y[y.size - m * n :].reshape(m, n)
-    segments = np.vstack([fwd, bwd])
+    segments = np.concatenate((fwd, bwd))
 
     # The trend is each segment's projection on the polynomial basis; the
     # stacked copy is detrended and squared in place.
     basis = _detrend_basis(n, l)
     segments -= (segments @ basis) @ basis.T
-    return np.square(segments, out=segments).mean(axis=1)
+    return np.add.reduce(np.square(segments, out=segments), axis=1) / n
 
 
 def fluctuation(variances, q_grid) -> np.ndarray:
@@ -256,21 +263,27 @@ def fluctuation(variances, q_grid) -> np.ndarray:
         )
     zero = q == 0
     p = np.where(zero, 1.0, q)
-    out = np.mean(v ** (p[:, None] / 2.0), axis=1) ** (1.0 / p)
+    out = (np.add.reduce(v ** (p[:, None] / 2.0), axis=1) / v.size) ** (1.0 / p)
     if zero.any():
-        out[zero] = np.exp(0.5 * np.mean(np.log(v)))
+        out[zero] = np.exp(0.5 * (np.add.reduce(np.log(v)) / v.size))
     return out
 
 
 def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
-    """F_q(n) over the full (q, scale) grid for one series."""
+    """F_q(n) over the full (q, scale) grid for one series.
+
+    The scales are shared out among the row-block threads, smallest first
+    (they carry most of the moment work); each column is the serial code on
+    the same inputs, so the bits do not depend on the threads, and a failure
+    raises the error of the first failing scale.
+    """
     if cfg is None:
         cfg = MfdfaConfig()
-    x = np.asarray(x, dtype=float)
-    scales = cfg.resolved_scales(x.size)
     y = profile(x)
+    scales = cfg.resolved_scales(y.size)
+    l, q = cfg.detrend_order, cfg.q_grid
     values = np.column_stack(
-        [fluctuation(segment_variances(y, int(n), cfg.detrend_order), cfg.q_grid) for n in scales]
+        _each(lambda n: fluctuation(segment_variances(y, n, l), q), [int(n) for n in scales])
     )
     return FluctuationSurface(q_grid=cfg.q_grid.copy(), scales=scales.copy(), values=values)
 
@@ -356,11 +369,11 @@ def binomial_cascade(p: float, n_levels: int) -> np.ndarray:
     standard multifractal benchmark whose h(q) is known in closed form:
     h(q) = 1/q - log2(p**q + (1-p)**q)/q.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+    if not 0.0 < _real(p, "p") < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p!r}")
     n_levels = _integer(n_levels, "n_levels")
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
+    if not 1 <= n_levels <= _MAX_CASCADE_LEVELS:
+        raise ValueError(f"n_levels must be in [1, {_MAX_CASCADE_LEVELS}], got {n_levels}")
     k = np.arange(2**n_levels, dtype=np.int64)
     bits = np.zeros(k.size, dtype=np.int64)
     for b in range(n_levels):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -108,10 +110,13 @@ def _each(fn, items):
 
     The calling thread and up to ``_HELPERS`` pool threads each claim the next
     item until none is left, so a descheduled thread holds up only its own
-    item.  `fn` must touch only its own part of any shared output and call
-    only numpy and private helpers.  Every item runs; then the exception of
-    the first failing item in list order is raised, which is the one the
-    serial loop (one item, or no helper thread) stops at.
+    item.  Each helper runs in its own copy of the caller's context, so the
+    caller's ``np.errstate`` holds on every thread.  `fn` must touch only its
+    own part of any shared output and call no traced function: only numpy,
+    private helpers and the MFDFA per-scale kernels ``segment_variances`` and
+    ``fluctuation``, which a tracer leaves unwrapped.  Every item runs; then
+    the exception of the first failing item in list order is raised, which is
+    the one the serial loop (one item, or no helper thread) stops at.
     """
     helpers = min(_HELPERS, len(items) - 1)
     if helpers < 1:
@@ -130,7 +135,8 @@ def _each(fn, items):
             except Exception as exc:  # raised in list order below
                 errors[k] = exc
 
-    futures = [_POOL.submit(work) for _ in range(helpers)]
+    # A context can be entered by one thread at a time: one copy per helper.
+    futures = [_POOL.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
     try:
         work()
     finally:
@@ -186,6 +192,18 @@ def _integer(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name):
+    """`value` as a float if it is a real number (a Python or numpy int or
+    float, NaN and infinities included), else a ValueError naming `name`: a
+    string or None would leak a TypeError from the first comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
 
 
 def _bars_per_day(value):

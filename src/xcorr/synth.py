@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _integer, _record, _standardized_rows
+from .panel import ReturnPanel, _each_block, _frozen, _integer, _real, _record, _standardized_rows
 
 __all__ = [
     "MarketModel",
@@ -64,11 +64,11 @@ class MarketModel:
             raise ValueError("need n_assets >= 1 and t_length >= 2")
         if self.bars_per_day < 1:
             raise ValueError("bars_per_day must be positive")
-        if not 0 <= self.market_loading < math.inf:
+        if not 0 <= _real(self.market_loading, "market_loading") < math.inf:
             raise ValueError(
                 f"market_loading must be finite and non-negative, got {self.market_loading!r}"
             )
-        if not 0 < self.idiosyncratic_sigma < math.inf:
+        if not 0 < _real(self.idiosyncratic_sigma, "idiosyncratic_sigma") < math.inf:
             raise ValueError(
                 f"idiosyncratic_sigma must be finite and positive, got {self.idiosyncratic_sigma!r}"
             )
@@ -81,7 +81,7 @@ class MarketModel:
                     f"sector_spec entry {entry!r} is not a (count, loading) pair"
                 ) from None
             count = _integer(count, "sector_spec count")
-            if count < 1 or not 0 <= loading < math.inf:
+            if count < 1 or not 0 <= _real(loading, "sector_spec loading") < math.inf:
                 raise ValueError(
                     f"sector_spec entry {entry!r}: each sector needs count >= 1 "
                     "and a finite loading >= 0"
@@ -109,11 +109,13 @@ class MarketModel:
                     f"vol_clustering {self.vol_clustering!r} is not a "
                     "(persistence, vol-of-vol) pair"
                 ) from None
-            if not 0.0 <= a < 1.0:
+            if not 0.0 <= _real(a, "vol_clustering persistence") < 1.0:
                 raise ValueError("volatility persistence must be in [0, 1)")
-            if not 0 <= vol_of_vol < math.inf:
+            if not 0 <= _real(vol_of_vol, "vol_clustering vol-of-vol") < math.inf:
                 raise ValueError("vol-of-vol must be finite and non-negative")
             self.vol_clustering = (float(a), float(vol_of_vol))
+        if not 0 < _real(self.dt_seconds, "dt_seconds") < math.inf:
+            raise ValueError(f"dt_seconds must be finite and positive, got {self.dt_seconds!r}")
         self.seed = _seed(self.seed)
 
     to_dict = _record

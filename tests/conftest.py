@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import xcorr.panel
 from xcorr.panel import ReturnPanel, standardize
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -16,6 +17,14 @@ RAW_3X16 = np.array(
         [-0.2, 0.6, -0.5, -1.2, 0.9, -0.4, 1.1, 0.3, -0.7, 1.0, -0.1, 0.6, -0.9, 1.3, -0.6, 0.2],
     ]
 )
+
+
+@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
+def helpers(request, monkeypatch):
+    """The row-block passes (and every other `panel._each` caller) with 0
+    (serial), 1 or 3 helper threads."""
+    monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
+    return request.param
 
 
 @pytest.fixture

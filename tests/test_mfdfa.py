@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,10 @@ class TestProfile:
         y = profile(_white_noise(1000))
         assert abs(y[-1]) < 1e-8
 
+    def test_analyze_checks_the_shape_before_the_scales(self):
+        with pytest.raises(ValueError, match="must be a 1-D series"):
+            analyze([[1.0, 2.0]])
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="1-D"):
             profile(np.zeros((2, 4)))
@@ -132,6 +137,18 @@ class TestSegmentVariances:
         y = profile(_white_noise(64))
         with pytest.raises(ValueError, match="order"):
             segment_variances(y, 8, l=0)
+
+    @pytest.mark.parametrize("n, l, match", [
+        (16.5, 2, "scale n must be an integer, got 16.5"),
+        ("16", 2, "scale n must be an integer, got '16'"),
+        (16, True, "detrend order l must be an integer, got True"),
+    ], ids=["n_float", "n_str", "l_bool"])
+    def test_rejects_non_integer_scale_or_order(self, n, l, match):
+        # Unchecked, a float or string scale leaks a TypeError from the
+        # reshape and a bool order runs as l = 1.
+        y = profile(_white_noise(256))
+        with pytest.raises(ValueError, match=match):
+            segment_variances(y, n, l)
 
 
 class TestDetrendBasis:
@@ -361,6 +378,16 @@ class TestCascadeBenchmark:
         with pytest.raises(ValueError, match="n_levels"):
             binomial_cascade(0.3, 0)
 
+    def test_cascade_rejects_non_numeric_p(self):
+        with pytest.raises(ValueError, match="p must be a real number, got '0.3'"):
+            binomial_cascade("0.3", 4)
+
+    def test_cascade_rejects_levels_beyond_the_memory_bound(self):
+        # Unchecked, 2**70 points fail inside numpy with "Maximum allowed
+        # size exceeded", naming no input.
+        with pytest.raises(ValueError, match=r"n_levels must be in \[1, 30\], got 70"):
+            binomial_cascade(0.3, 70)
+
     def test_cascade_rejects_non_integer_levels(self):
         with pytest.raises(ValueError, match="n_levels must be an integer, got 2.5"):
             binomial_cascade(0.3, 2.5)
@@ -510,3 +537,87 @@ def test_mfdfa_matches_reference(name, cfg):
     assert np.allclose(surf.values, values, rtol=1e-9, atol=0.0)
     assert np.abs(surf.h - h).max() < 1e-10
     assert np.abs(surf.fit_residual - resid).max() < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The scales of one series are shared out among the row-block threads.  The
+# reference is the serial loop they replaced, with its own expressions
+# (np.vstack, .mean), so the comparison is bit for bit.
+# ---------------------------------------------------------------------------
+
+def _serial_column(y, n, l, q):
+    m = y.size // n
+    segments = np.vstack([y[: m * n].reshape(m, n), y[y.size - m * n :].reshape(m, n)])
+    basis = xcorr.mfdfa._detrend_basis(n, l)
+    segments -= (segments @ basis) @ basis.T
+    v = np.square(segments, out=segments).mean(axis=1)
+    zero = q == 0
+    p = np.where(zero, 1.0, q)
+    out = np.mean(v ** (p[:, None] / 2.0), axis=1) ** (1.0 / p)
+    out[zero] = np.exp(0.5 * np.mean(np.log(v)))
+    return out
+
+
+def _serial_surface(x, cfg):
+    y = profile(x)
+    scales = cfg.resolved_scales(y.size)
+    return np.column_stack(
+        [_serial_column(y, int(n), cfg.detrend_order, cfg.q_grid) for n in scales]
+    )
+
+
+THREADED_SERIES = {
+    "random_walk": lambda: np.cumsum(_white_noise(8000, seed=61)),
+    "eigensignal": _vol_clustered_eigensignal,
+    "cascade": lambda: binomial_cascade(0.3, 14),
+}
+
+
+@pytest.mark.parametrize("name, scale_grid", [
+    *[(name, None) for name in sorted(THREADED_SERIES)],
+    ("eigensignal", [5, 9, 17, 40, 99, 250, 600, 1000, 2000]),
+], ids=[*sorted(THREADED_SERIES), "custom_scales"])
+@pytest.mark.parametrize("l", [1, 2, 3], ids=lambda l: f"l{l}")
+def test_threaded_scales_match_the_serial_loop(helpers, name, scale_grid, l):
+    x = THREADED_SERIES[name]()
+    cfg = MfdfaConfig(detrend_order=l, scale_grid=scale_grid)
+    expect = _serial_surface(x, cfg)
+    assert np.array_equal(fluctuation_surface(x, cfg).values, expect)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a noisy h(q) fit only warns
+        surface, spectrum = analyze(x, cfg)
+        ref = FluctuationSurface(q_grid=cfg.q_grid, scales=surface.scales, values=expect)
+        ref_spectrum = singularity_spectrum(hurst_exponents(ref), cfg.q_grid)
+    assert np.array_equal(surface.values, expect)
+    for field in ("h", "fit_residual"):
+        assert np.array_equal(getattr(surface, field), getattr(ref, field))
+    for field in ("alpha", "f"):
+        assert np.array_equal(getattr(spectrum, field), getattr(ref_spectrum, field))
+
+
+def test_first_failing_scale_wins(helpers, monkeypatch):
+    # Integer returns summing to exactly 0, then a long run of zeros: the
+    # profile is exactly 0 there, so at every scale a backward segment has zero
+    # variance and the q <= 0 moments diverge.  The error raised must be the
+    # smallest scale's, the one the serial loop stops at.
+    x = np.zeros(4000)
+    x[:1000] = np.random.default_rng(5).integers(-3, 4, 1000)
+    x[999] -= x.sum()
+    failures = []
+
+    def recorded(v, q):
+        try:
+            return fluctuation(v, q)
+        except ValueError as exc:
+            failures.append((v.size, exc))
+            raise
+
+    monkeypatch.setattr(xcorr.mfdfa, "fluctuation", recorded)
+    with pytest.raises(ValueError, match="q <= 0 moment diverge") as caught:
+        fluctuation_surface(x)
+    first_size, first = max(failures, key=lambda f: f[0])  # most segments: smallest scale
+    assert caught.value is first
+    assert first_size == 2 * (4000 // 16)
+    y = profile(x)
+    with pytest.raises(ValueError, match="q <= 0 moment diverge"):  # a later scale fails too
+        fluctuation(segment_variances(y, 150), default_q_grid())

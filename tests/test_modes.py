@@ -186,13 +186,6 @@ def _reference_regress_out(r, z):
     return kept / np.sqrt(res_var[keep])[:, None], alphas, betas, dropped
 
 
-@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
-def helpers(request, monkeypatch):
-    """The panel's row-block passes with 0 (serial), 1 or 3 helper threads."""
-    monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
-    return request.param
-
-
 def _factor_panel(order, n=60, t=9000):
     """A standardized one-factor panel built from an input in memory layout
     `order`; the panel holds the C input's bits in C order either way.  Its

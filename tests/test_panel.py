@@ -1,6 +1,8 @@
 import gc
+import importlib.util
 import inspect
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -9,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import xcorr.mfdfa
 import xcorr.modes
 import xcorr.panel
 import xcorr.spectrum
@@ -19,6 +22,7 @@ from xcorr.modes import eigensignals, remove_mode
 from xcorr.panel import (
     PricePanel,
     ReturnPanel,
+    _each,
     _each_block,
     _standardized_rows,
     coarsen,
@@ -423,11 +427,12 @@ class TestPassCounts:
         assert len(calls) == passes
 
 
-@pytest.fixture(params=[0, 1, 3], ids=lambda h: f"helpers{h}")
-def helpers(request, monkeypatch):
-    """The row-block passes with 0 (serial), 1 or 3 helper threads."""
-    monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
-    return request.param
+def _bench_spans():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _pooled(monkeypatch):
@@ -491,6 +496,26 @@ class TestThreadedRowBlocks:
             _each_block(fn, np.zeros((50, 3)))
         assert caught.value is boom
         assert _each_block(lambda b: b.start, np.zeros((50, 3))) == [0, 16, 32, 48]
+
+    def test_callers_errstate_holds_on_every_thread(self, helpers):
+        # numpy keeps errstate in a context variable, so a helper that ran in
+        # the pool's own context would only warn on an overflow.
+        both = threading.Barrier(2, timeout=10)
+        big = np.full(8, 1e300)
+
+        def fn(k):
+            if helpers and k < 2:  # items 0 and 1 run on different threads
+                both.wait()
+            try:
+                np.multiply(big, big)
+            except FloatingPointError:
+                return "raised", threading.current_thread()
+            return "passed", threading.current_thread()
+
+        with np.errstate(over="raise"):
+            out = _each(fn, list(range(6)))
+        assert [outcome for outcome, _ in out] == ["raised"] * 6
+        assert (out[0][1] is not out[1][1]) == (helpers > 0)
 
     def test_first_failing_block_wins(self, helpers):
         def fn(b):
@@ -570,7 +595,8 @@ class TestThreadedRowBlocks:
             return recorder
 
         public = {}
-        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth, xcorr.modes, xcorr.spectrum):
+        for mod in (xcorr.panel, xcorr.surrogate, xcorr.synth, xcorr.modes, xcorr.spectrum,
+                    xcorr.mfdfa):
             for name in mod.__all__:
                 obj = getattr(mod, name)
                 if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
@@ -590,10 +616,14 @@ class TestThreadedRowBlocks:
         xcorr.modes.remove_modes_iterative(g, 3)
         wide = ReturnPanel(_assets(433), _rows(433, 200), False, 10, 60.0)
         xcorr.spectrum.correlation_matrix(xcorr.panel.standardize(wide))  # six Gram tiles
+        xcorr.mfdfa.analyze(xcorr.mfdfa.binomial_cascade(0.3, 12))  # 20 scales
         assert {"standardize", "ReturnPanel", "apply_surrogate", *KINDS, "generate",
-                "remove_modes_iterative", "eigensignals",
-                "correlation_matrix"} <= {n for n, _ in calls}
-        assert {t for _, t in calls} == {threading.main_thread()}
+                "remove_modes_iterative", "eigensignals", "correlation_matrix", "analyze",
+                "fluctuation_surface", "segment_variances", "fluctuation"} <= {n for n, _ in calls}
+        # Only the per-scale MFDFA kernels, which the traced benchmark leaves
+        # unwrapped, may run on a helper thread.
+        off_main = {n for n, t in calls if t is not threading.main_thread()}
+        assert off_main <= _bench_spans().UNTRACED
 
 
 def _frozen_f_view(x):

@@ -117,12 +117,23 @@ class TestMarketModelValidation:
         (dict(seed=1.9), "seed"),
         (dict(vol_clustering=(0.5,)), "vol_clustering"),
         (dict(sector_spec=[(2,)]), "sector_spec"),
+        (dict(market_loading="0.3"), "market_loading must be a real number"),
+        (dict(vol_clustering=("a", 0.1)), "vol_clustering persistence must be a real number"),
+        (dict(vol_clustering=(0.5, "b")), "vol_clustering vol-of-vol must be a real number"),
+        (dict(idiosyncratic_sigma=None), "idiosyncratic_sigma must be a real number"),
+        (dict(sector_spec=[(2, "0.5")]), "sector_spec loading must be a real number"),
+        (dict(dt_seconds="60"), "dt_seconds must be a real number"),
+        (dict(dt_seconds=math.nan), "dt_seconds must be finite and positive"),
+        (dict(dt_seconds=-1.0), "dt_seconds must be finite and positive"),
     ], ids=["loading_nan", "loading_inf", "sigma_inf", "sector_loading_nan",
             "sector_loading_inf", "profile_nan", "n_assets_float", "t_length_float",
-            "sector_count_float", "seed_float", "vol_clustering_short", "sector_short"])
+            "sector_count_float", "seed_float", "vol_clustering_short", "sector_short",
+            "loading_str", "persistence_str", "vol_of_vol_str", "sigma_none",
+            "sector_loading_str", "dt_str", "dt_nan", "dt_negative"])
     def test_rejects_non_finite_and_non_integer_fields(self, overrides, field):
         # Unchecked, each passes or fails later as a TypeError, an unpacking
-        # error or an error naming a row, and a float seed is truncated.
+        # error or an error naming a row, and a float seed is truncated; a bad
+        # dt_seconds would fail only inside generate.
         kw = dict(n_assets=4, t_length=100, bars_per_day=2)
         kw.update(overrides)
         with pytest.raises(ValueError, match=field):

@@ -77,7 +77,7 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
     """
     _check_names(r.assets, f"panel file {path}")
     x = r.returns
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {PANEL_MAGIC}\n")
         fh.write(f"# standardized: {'true' if r.standardized else 'false'}\n")
         fh.write(f"# bars_per_day: {r.bars_per_day}\n")
@@ -230,6 +230,21 @@ def _check_names(names, where):
         seen.add(a)
 
 
+def _check_utf8(line, lineno, path):
+    """A ValueError naming the file and line if `line`, read as UTF-8 with
+    errors="surrogateescape", held a byte that is not UTF-8 text.  Every such
+    byte reads as a lone surrogate, which no valid text holds; an ASCII line is
+    passed at once."""
+    if line.isascii():
+        return
+    try:
+        line.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"{path}: line {lineno}: byte 0x{byte:02x} at column {exc.start + 1} "
+                         "is not UTF-8 text") from None
+
+
 def _parse_panel_rows(lines, n_fields):
     """The value columns of panel data lines, one array row per line.
 
@@ -259,9 +274,10 @@ def _read_panel_csv(path) -> ReturnPanel:
     header = None
     lines, linenos = [], []
     stop = None  # the first bad line's error, raised after the values before it
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
+                _check_utf8(raw, lineno, path)
                 line = raw.rstrip("\r\n")
                 if not line.strip():
                     continue
@@ -300,12 +316,21 @@ def _read_panel_csv(path) -> ReturnPanel:
     bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
     dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
 
+    part = [0, 0]  # the part parse() was last given; a child's write stays in the child
+
     def parse(lo, hi):
+        part[:] = lo, hi
+        return _parse_panel_rows(lines[lo:hi], len(header))
+
+    if lines:
         try:
-            return _parse_panel_rows(lines[lo:hi], len(header))
+            values = _rows_in_parts(parse, len(lines), len(header) - 1)
         except ValueError:
-            # Bisect for the part's first bad line with the same parser: a run
-            # of lines that parses holds no bad line, so [lo, hi) keeps one.
+            # The caller's own parse of the first bad part failed (a forked
+            # part that failed is redone here).  Bisect that part for its first
+            # bad line with the same parser: a run of lines that parses holds
+            # no bad line, so [lo, hi) keeps one.
+            lo, hi = part
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 try:
@@ -318,9 +343,6 @@ def _read_panel_csv(path) -> ReturnPanel:
             except ValueError:
                 raise ValueError(f"line {linenos[lo]}: unparseable value in panel file") from None
             raise
-
-    if lines:
-        values = _rows_in_parts(parse, len(lines), len(header) - 1)
     if stop is not None:
         raise stop
     if not lines:
@@ -348,8 +370,15 @@ def _timestamp(token, lineno):
 def _csv_records(fh, path):
     """(line number, fields) of each record of a CSV file with a non-blank
     field, header included.  A file with no such record is a ValueError naming
-    the file, and a malformed record one naming the file and its first line."""
-    reader = csv.reader(fh)
+    the file, and a malformed record or a line that is not UTF-8 text (`fh`
+    reads with errors="surrogateescape") one naming the file and its first line."""
+
+    def lines():
+        for lineno, line in enumerate(fh, start=1):
+            _check_utf8(line, lineno, path)
+            yield line
+
+    reader = csv.reader(lines())
     empty = True
     while True:
         lineno = reader.line_num + 1
@@ -367,7 +396,7 @@ def _csv_records(fh, path):
 
 
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = _csv_records(fh, path)
         lineno, header = next(reader)
         if len(header) < 2:
@@ -427,7 +456,7 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
     records = []
     asset_index = {}  # asset name -> row, in order of first appearance
     stop = None  # the first bad line's error, raised after the records before it
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = _csv_records(fh, path)
         next(reader)  # the header
         try:
@@ -773,7 +802,7 @@ def _mfdfa_config(cfg) -> MfdfaConfig:
 def _spectrum_payload(r: ReturnPanel):
     c = correlation_matrix(r)
     s = eigendecompose(c)
-    b = mp_bounds(c.t_length / c.n_series)
+    b = mp_bounds(c.q)
     return c, s, b, overlap_fraction(s, b)
 
 

@@ -126,28 +126,39 @@ class MfdfaConfig:
 
 @dataclass
 class FluctuationSurface:
-    """F_q(n) over the (q, scale) grid, with the per-q fit filled in later.
+    """F_q(n) over the (q, scale) grid, with the per-q power-law fit derived from it.
 
     values[iq, iscale] > 0 everywhere; rows are non-decreasing in q for fixed
-    scale (generalized-mean monotonicity).  ``h`` and ``fit_residual`` are set
-    by hurst_exponents.
+    scale (generalized-mean monotonicity).  ``h`` is the least-squares slope of
+    ln F_q(n) against ln n over every scale, one per q, and ``fit_residual``
+    the RMS of that fit's residuals, a scaling-quality diagnostic: a large
+    value means F_q(n) is not a clean power law there.  Both are fitted when
+    the record is built.
     """
 
     q_grid: np.ndarray
     scales: np.ndarray
     values: np.ndarray
-    h: np.ndarray = None
-    fit_residual: np.ndarray = None
+    h: np.ndarray = field(init=False)
+    fit_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (len(self.q_grid), len(self.scales)):
             raise ValueError("surface shape must be (len(q_grid), len(scales))")
+        if v.shape[1] < 2:
+            raise ValueError(f"need at least 2 scales to fit h(q), got {v.shape[1]}")
         if not np.isfinite(v).all() or (v <= 0).any():
             raise ValueError("fluctuation surface must be finite and positive")
         if (np.diff(v, axis=0) < -1e-9 * v[:-1]).any():
             raise ValueError("F_q(n) must be non-decreasing in q for each scale")
         self.values = v
+        ln_n = np.log(np.asarray(self.scales, dtype=float))
+        design = np.column_stack([ln_n, np.ones_like(ln_n)])
+        ln_f = np.log(v).T
+        coef, _, _, _ = np.linalg.lstsq(design, ln_f, rcond=None)
+        self.h = coef[0]
+        self.fit_residual = np.sqrt(np.mean((ln_f - design @ coef) ** 2, axis=0))
 
     to_dict = _record
 
@@ -289,19 +300,8 @@ def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
 
 
 def hurst_exponents(surface: FluctuationSurface) -> np.ndarray:
-    """Slope of ln F_q(n) vs ln n over every scale, for every q; fills surface.h.
-
-    The RMS of the fit residuals is stored alongside as a scaling-quality
-    diagnostic: large values mean F_q(n) is not a clean power law there.
-    """
-    if not np.isfinite(surface.values).all():
-        raise ValueError("fluctuation surface contains non-finite entries")
-    ln_n = np.log(surface.scales.astype(float))
-    design = np.column_stack([ln_n, np.ones_like(ln_n)])
-    ln_f = np.log(surface.values).T
-    coef, _, _, _ = np.linalg.lstsq(design, ln_f, rcond=None)
-    surface.h = coef[0]
-    surface.fit_residual = np.sqrt(np.mean((ln_f - design @ coef) ** 2, axis=0))
+    """The generalized Hurst exponents h(q) of a surface: ``surface.h``, the slope
+    of ln F_q(n) against ln n over every scale, fitted when the surface was built."""
     return surface.h
 
 
@@ -338,8 +338,7 @@ def analyze(x, cfg: MfdfaConfig = None):
     if cfg is None:
         cfg = MfdfaConfig()
     surface = fluctuation_surface(x, cfg)
-    h = hurst_exponents(surface)
-    return surface, singularity_spectrum(h, cfg.q_grid)
+    return surface, singularity_spectrum(surface.h, cfg.q_grid)
 
 
 def average_spectra(spectra) -> SingularitySpectrum:

@@ -4,7 +4,7 @@ distribution of matrix elements."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,27 +40,28 @@ class CorrelationMatrix:
     """Symmetric N x N Pearson correlation matrix with unit diagonal."""
 
     values: np.ndarray
-    n_series: int
     t_length: int
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {v.shape}")
-        if v.shape[0] != self.n_series:
-            raise ValueError("n_series does not match matrix dimension")
         if np.abs(v - v.T).max() >= SYM_TOL:
             raise ValueError("matrix is not symmetric within 1e-12")
         if np.abs(np.diag(v) - 1.0).max() >= DIAG_TOL:
             raise ValueError("diagonal entries must equal 1 within 1e-10")
         if v.min() < -1.0 - RANGE_TOL or v.max() > 1.0 + RANGE_TOL:
             raise ValueError("entries must lie in [-1, 1]")
-        if abs(np.trace(v) - self.n_series) >= TRACE_TOL:
+        if abs(np.trace(v) - v.shape[0]) >= TRACE_TOL:
             raise ValueError("trace must equal N within 1e-8")
         if self.t_length < 2:
             raise ValueError("t_length must be at least 2")
         v.setflags(write=False)
         self.values = v
+
+    @property
+    def n_series(self):
+        return self.values.shape[0]
 
     @property
     def q(self):
@@ -112,27 +113,21 @@ class EigenSpectrum:
         return d
 
 
-def _mp_edges(q):
-    """The closed-form bulk edges 1 + 1/Q -/+ 2/sqrt(Q)."""
-    return 1.0 + 1.0 / q - 2.0 / math.sqrt(q), 1.0 + 1.0 / q + 2.0 / math.sqrt(q)
-
-
 @dataclass
 class MpBounds:
-    """Support edges 1 + 1/Q +/- 2/sqrt(Q) of the random (Wishart) eigenvalue bulk."""
+    """Support edges 1 + 1/Q +/- 2/sqrt(Q) of the random (Wishart) eigenvalue bulk,
+    derived from Q."""
 
     q: float
-    lambda_min: float
-    lambda_max: float
+    lambda_min: float = field(init=False)
+    lambda_max: float = field(init=False)
 
     def __post_init__(self):
         if not self.q > 0:
             raise ValueError(f"Q must be positive, got {self.q}")
-        lo, hi = _mp_edges(self.q)
-        if abs(self.lambda_min - lo) > 1e-12 or abs(self.lambda_max - hi) > 1e-12:
-            raise ValueError("bounds do not match the closed form for this Q")
-        if self.lambda_min > self.lambda_max:
-            raise ValueError("lambda_min exceeds lambda_max")
+        self.q = float(self.q)
+        self.lambda_min = 1.0 + 1.0 / self.q - 2.0 / math.sqrt(self.q)
+        self.lambda_max = 1.0 + 1.0 / self.q + 2.0 / math.sqrt(self.q)
 
     @property
     def width(self):
@@ -147,7 +142,8 @@ class ElementDistribution:
 
     ``tail_deviation`` is the (empirical - fit) density at the bin holding the
     99th percentile of the entries, in units of the per-bin residual standard
-    deviation. ``degenerate`` flags a zero-width distribution (fit undefined).
+    deviation. ``degenerate``, derived from ``gaussian_sigma == 0``, flags a
+    zero-width distribution (fit undefined, ``tail_deviation`` NaN).
     """
 
     bin_edges: np.ndarray
@@ -155,8 +151,11 @@ class ElementDistribution:
     gaussian_mu: float
     gaussian_sigma: float
     tail_deviation: float
-    degenerate: bool
+    degenerate: bool = field(init=False)
     n_entries: int
+
+    def __post_init__(self):
+        self.degenerate = bool(self.gaussian_sigma == 0.0)
 
     to_dict = _record
 
@@ -196,7 +195,7 @@ def correlation_matrix(r: ReturnPanel) -> CorrelationMatrix:
     d = np.sqrt(np.diag(c))
     c = c / np.outer(d, d)
     np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(values=c, n_series=r.n_assets, t_length=r.t_length)
+    return CorrelationMatrix(values=c, t_length=r.t_length)
 
 
 def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
@@ -207,7 +206,7 @@ def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
     n = vals.size
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     vecs[:, lead < 0] *= -1.0
-    spectrum = EigenSpectrum(eigenvalues=vals, eigenvectors=vecs, source_q=c.t_length / c.n_series)
+    spectrum = EigenSpectrum(eigenvalues=vals, eigenvectors=vecs, source_q=c.q)
     recon = (vecs * vals) @ vecs.T
     if np.abs(recon - c.values).max() >= 1e-8:
         raise ValueError("eigendecomposition failed to reconstruct the matrix within 1e-8")
@@ -218,10 +217,7 @@ def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
 
 def mp_bounds(q: float) -> MpBounds:
     """Closed-form bulk edges for aspect ratio Q = T/N."""
-    if not q > 0:
-        raise ValueError(f"Q must be positive, got {q}")
-    q = float(q)
-    return MpBounds(q, *_mp_edges(q))
+    return MpBounds(q)
 
 
 def overlap_fraction(s: EigenSpectrum, b: MpBounds) -> float:
@@ -236,32 +232,17 @@ def _distribution_from_entries(entries: np.ndarray, n_bins: int) -> ElementDistr
     densities, edges = np.histogram(entries, bins=n_bins, density=True)
     mu = float(entries.mean())
     sigma = float(entries.std())
-    if sigma == 0.0:
-        return ElementDistribution(
-            bin_edges=edges,
-            densities=densities,
-            gaussian_mu=mu,
-            gaussian_sigma=0.0,
-            tail_deviation=float("nan"),
-            degenerate=True,
-            n_entries=entries.size,
-        )
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    fit = np.exp(-0.5 * ((centers - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    resid = densities - fit
-    sigma_resid = float(resid.std())
-    p99 = float(np.quantile(entries, 0.99))
-    idx = int(np.clip(np.searchsorted(edges, p99, side="right") - 1, 0, n_bins - 1))
-    tail = float(resid[idx] / sigma_resid) if sigma_resid > 0 else 0.0
-    return ElementDistribution(
-        bin_edges=edges,
-        densities=densities,
-        gaussian_mu=mu,
-        gaussian_sigma=sigma,
-        tail_deviation=tail,
-        degenerate=False,
-        n_entries=entries.size,
-    )
+    tail = float("nan")
+    if sigma != 0.0:
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        fit = np.exp(-0.5 * ((centers - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        resid = densities - fit
+        sigma_resid = float(resid.std())
+        p99 = float(np.quantile(entries, 0.99))
+        idx = int(np.clip(np.searchsorted(edges, p99, side="right") - 1, 0, n_bins - 1))
+        tail = float(resid[idx] / sigma_resid) if sigma_resid > 0 else 0.0
+    return ElementDistribution(bin_edges=edges, densities=densities, gaussian_mu=mu,
+                               gaussian_sigma=sigma, tail_deviation=tail, n_entries=entries.size)
 
 
 def element_distribution(c: CorrelationMatrix, n_bins: int = 50) -> ElementDistribution:

@@ -459,6 +459,13 @@ class TestSurfaceValidation:
         with pytest.raises(ValueError, match="positive"):
             FluctuationSurface(q_grid=q, scales=np.array([16, 32]), values=np.zeros((5, 2)))
 
+    def test_one_scale_rejected(self):
+        q = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        for scales in ([], [16]):
+            with pytest.raises(ValueError, match="at least 2 scales"):
+                FluctuationSurface(q_grid=q, scales=np.array(scales, dtype=int),
+                                   values=np.ones((5, len(scales))))
+
     def test_q_monotonicity_enforced(self):
         q = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         values = np.tile([[2.0], [1.0], [1.0], [1.0], [1.0]], (1, 2))

@@ -119,3 +119,40 @@ def test_mutated_file_exits_cleanly(base_files, kind, mutations):
             assert rc == 1, (kind, mutations, err)
             assert json.loads(err.splitlines()[-1])["type"] == "ValueError", (kind, mutations, err)
             assert not os.path.exists(out) or os.listdir(out) == [], (kind, mutations)
+
+
+# A bad line after an earlier bad value: the earlier line is reported, whether
+# the bad line is short or holds a byte that is not UTF-8, and, in the 2100-bar
+# panel (two parts with one helper, cut at bar 1050), whether the two lie in
+# the same part or the bad line in a later part.  (kind, bad value's data row,
+# bad line's data row, the bad value's error with its line number.)
+ORDER_CASES = {
+    "panel_same_part": ("panel_big", 1200, 1900, "line {}: unparseable value in panel file"),
+    "panel_later_part": ("panel_big", 300, 1900, "line {}: unparseable value in panel file"),
+    "wide": ("wide", 20, 40, "line {}: unparseable price 'x' for B"),
+    "long": ("long", 21, 41, "line {}: unparseable price 'x' for B"),
+}
+
+
+@pytest.mark.parametrize("bad_line", ["short", "not_utf8"])
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_bad_line_after_bad_value_names_the_value(base_files, tmp_path, monkeypatch, case,
+                                                  bad_line):
+    kind, value_row, line_row, message = ORDER_CASES[case]
+    head = HEADER_LINES[kind]
+    lines = [line.encode() for line in base_files[kind]]
+    fields = lines[head + value_row].rstrip(b"\n").split(b",")
+    fields[2] = b"x"  # asset B's value or price
+    lines[head + value_row] = b",".join(fields) + b"\n"
+    lines[head + line_row] = b"1,2\n" if bad_line == "short" else b"1,\xff,2\n"
+    fmt = "panel" if kind.startswith("panel") else kind
+    extra = [] if fmt == "panel" else ["--bars-per-day", "10"]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(b"".join(lines))
+    want = message.format(head + value_row + 1)
+    for helpers in (0, 1):
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
+        rc, err = _run(["spectrum", "--input", str(path), "--format", fmt, *extra,
+                        "--out", str(tmp_path / f"out{helpers}")])
+        assert rc == 1, (case, helpers, err)
+        assert json.loads(err.splitlines()[-1])["error"] == want, (case, helpers)

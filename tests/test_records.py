@@ -1,5 +1,7 @@
 """A result record's JSON is its fields: ``to_dict`` gives one key per
-dataclass field, an array as nested lists, and survives a JSON round trip."""
+dataclass field, an array as nested lists, and survives a JSON round trip.
+A field the record derives from the others (``init=False``) is set when the
+record is built, and built again by ``dataclasses.replace``."""
 
 import dataclasses
 import inspect
@@ -74,3 +76,28 @@ def test_keys_are_the_fields(records, name):
 def test_json_round_trip_is_unchanged(records, name):
     d = records[name].to_dict()
     assert json.loads(json.dumps(d)) == d
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_derived_fields_are_set_at_construction(records, name):
+    obj = records[name]
+    for f in dataclasses.fields(obj):
+        if not f.init:
+            assert getattr(obj, f.name) is not None, f.name
+
+
+def test_replaced_mp_bounds_derive_their_edges(records):
+    b = dataclasses.replace(records["MpBounds"], q=4.0)
+    assert (b.lambda_min, b.lambda_max) == (0.25, 2.25)
+    assert b == mp_bounds(4.0)
+
+
+def test_replaced_surface_refits_h(records):
+    surface = records["FluctuationSurface"]
+    doubled = dataclasses.replace(surface, values=2 * surface.values)
+    # ln(2 F) = ln F + ln 2 moves only the intercept of each fit.
+    assert np.allclose(doubled.h, surface.h, rtol=0, atol=1e-12)
+    assert doubled.h is not surface.h
+    squared = dataclasses.replace(surface, values=surface.values ** 2)
+    assert np.allclose(squared.h, 2 * surface.h, rtol=0, atol=1e-12)
+    assert np.allclose(squared.fit_residual, 2 * surface.fit_residual, rtol=0, atol=1e-12)

@@ -82,22 +82,24 @@ class TestCorrelationMatrix:
         v = np.eye(3)
         v[0, 1] = 0.5
         with pytest.raises(ValueError, match="symmetric"):
-            CorrelationMatrix(values=v, n_series=3, t_length=10)
+            CorrelationMatrix(values=v, t_length=10)
 
     def test_rejects_bad_diagonal(self):
         v = np.eye(3) * 0.9
         with pytest.raises(ValueError, match="diagonal"):
-            CorrelationMatrix(values=v, n_series=3, t_length=10)
+            CorrelationMatrix(values=v, t_length=10)
 
     def test_rejects_out_of_range_entries(self):
         v = np.eye(2)
         v[0, 1] = v[1, 0] = 1.5
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            CorrelationMatrix(values=v, n_series=2, t_length=10)
+            CorrelationMatrix(values=v, t_length=10)
 
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="n_series"):
-            CorrelationMatrix(values=np.eye(3), n_series=4, t_length=10)
+    def test_n_series_is_the_dimension(self):
+        c = CorrelationMatrix(values=np.eye(3), t_length=12)
+        assert (c.n_series, c.q) == (3, 4.0)
+        with pytest.raises(TypeError):
+            CorrelationMatrix(values=np.eye(3), n_series=4, t_length=12)
 
     def test_values_are_read_only(self, panel_3x16):
         c = correlation_matrix(panel_3x16)
@@ -201,7 +203,7 @@ class TestEigendecompose:
         assert np.allclose(np.abs(s.eigenvectors[:, 0]), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
     def test_identity_matrix_gives_unit_eigenvalues(self):
-        c = CorrelationMatrix(values=np.eye(5), n_series=5, t_length=50)
+        c = CorrelationMatrix(values=np.eye(5), t_length=50)
         s = eigendecompose(c)
         assert np.allclose(s.eigenvalues, np.ones(5), atol=1e-14)
         assert s.source_q == 10.0
@@ -290,8 +292,9 @@ class TestMpBounds:
         with pytest.raises(ValueError, match="positive"):
             mp_bounds(-3.0)
 
-    def test_constructor_rejects_wrong_bounds(self):
-        with pytest.raises(ValueError, match="closed form"):
+    def test_edges_are_derived_from_q(self):
+        assert MpBounds(3.0) == mp_bounds(3.0)
+        with pytest.raises(TypeError):
             MpBounds(q=3.0, lambda_min=0.2, lambda_max=2.5)
 
 
@@ -324,7 +327,7 @@ class TestOverlapFraction:
 
 class TestElementDistribution:
     def test_identity_matrix_is_degenerate(self):
-        c = CorrelationMatrix(values=np.eye(5), n_series=5, t_length=50)
+        c = CorrelationMatrix(values=np.eye(5), t_length=50)
         d = element_distribution(c)
         assert d.degenerate
         assert d.gaussian_sigma == 0.0
@@ -364,7 +367,7 @@ class TestElementDistribution:
             element_distribution(correlation_matrix(p), n_bins=5)
 
     def test_rejects_tiny_matrix(self):
-        c = CorrelationMatrix(values=np.eye(2), n_series=2, t_length=10)
+        c = CorrelationMatrix(values=np.eye(2), t_length=10)
         with pytest.raises(ValueError, match="3 series"):
             element_distribution(c)
 

@@ -283,11 +283,58 @@ class TestSerialErrors:
                                              "got 2$"):
             ingest(str(path), "panel")
 
+    @staticmethod
+    def _poke(path, line, column):
+        """Set byte `column` (1-based) of line `line` of the file to 0xff."""
+        lines = _bytes(path).split(b"\n")
+        lines[line - 1] = lines[line - 1][:column - 1] + b"\xff" + lines[line - 1][column:]
+        path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize("count", (0, 1))
+    @pytest.mark.parametrize("bar", (15, 1800))
+    def test_panel_byte_not_utf8_names_its_line(self, tmp_path, helpers, count, bar):
+        # 2100 bars are two parts with one helper; bar 1800 lies in the second.
+        path = tmp_path / "panel.csv"
+        export_panel(_returns(3, 2100, seed=13), path)
+        line = HEADER_LINES + bar + 1
+        self._poke(path, line, 7)
+        helpers(count)
+        with pytest.raises(ValueError, match=f"^{path}: line {line}: byte 0xff at column 7 "
+                                             "is not UTF-8 text$"):
+            ingest(str(path), "panel")
+        # A bad value before it is the first bad line.
+        lines = _bytes(path).split(b"\n")
+        lines[HEADER_LINES + bar - 3] = f"{bar - 3},1.0,x,2.0".encode()
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=f"^line {line - 3}: unparseable value"):
+            ingest(str(path), "panel")
+
+    @pytest.mark.parametrize("count", HELPERS)
+    def test_wide_byte_not_utf8_names_its_line(self, tmp_path, helpers, count):
+        path = tmp_path / "wide.csv"
+        _write_wide(path, 3, 5000)
+        self._poke(path, 4002, 3)
+        helpers(count)
+        with pytest.raises(ValueError, match=f"^{path}: line 4002: byte 0xff at column 3 "
+                                             "is not UTF-8 text$"):
+            ingest(str(path), "wide", bars_per_day=7)
+        self._poke(path, 1, 2)
+        with pytest.raises(ValueError, match=f"^{path}: line 1: byte 0xff"):
+            ingest(str(path), "wide", bars_per_day=7)
+
+    def test_long_byte_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,asset,price\n0,A,100\n0,B,50\n60,A,101\n60,B,51\n")
+        self._poke(path, 4, 4)
+        with pytest.raises(ValueError, match=f"^{path}: line 4: byte 0xff at column 4 "
+                                             "is not UTF-8 text$"):
+            ingest(str(path), "long", bars_per_day=1)
+
     @pytest.mark.parametrize("count", HELPERS)
     def test_panel_bad_line_found_by_bisection(self, tmp_path, helpers, monkeypatch, count):
         # One 5000-line part per process, a bad value 10 lines before the end
-        # of the last.  Every process, the failed child and the caller that
-        # redoes its part, finds the line in at most 30 parses.
+        # of the last.  The failed child parses its part once; the caller
+        # redoes that part and bisects it, in at most 15 more parses.
         bars = 5000 * (1 + count)
         assert np.diff(_cuts(bars, count)).tolist() == [5000] * (1 + count)
         path = tmp_path / "panel.csv"
@@ -311,8 +358,11 @@ class TestSerialErrors:
                                              "value in panel file$"):
             ingest(str(path), "panel")
         pids = log.read_text().split()
-        assert max(pids.count(pid) for pid in set(pids)) <= 30
-        assert pids.count(str(os.getpid())) <= (1 if count else 0) + 15
+        caller = str(os.getpid())
+        # A child parses its part once; only the caller bisects.
+        assert all(pids.count(pid) == 1 for pid in set(pids) - {caller})
+        assert len(set(pids) - {caller}) == count
+        assert pids.count(caller) <= (1 if count else 0) + 15
 
     @pytest.mark.parametrize("count", HELPERS)
     def test_long_first_bad_line_wins(self, tmp_path, helpers, count):

@@ -14,18 +14,27 @@ import contextlib
 import csv
 import gc
 import hashlib
+import io
+import itertools
 import json
 import math
 import operator
 import os
+import re
 import shutil
 import signal
+import stat
 import sys
 import tempfile
 import warnings
 from typing import NamedTuple
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # no flock: the lock file is created exclusively instead
+    fcntl = None
 
 from . import panel as _panel
 from .mfdfa import MfdfaConfig, _geometric_scales, analyze, average_spectra
@@ -50,6 +59,9 @@ MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
 _EXPORT_BLOCK = 1024
 _PIPE_CHUNK = 1 << 20
+_READ_CHUNK = 1 << 20
+# A line ends at LF, CRLF or a lone CR, as text read with newline="" splits it.
+_LINE_END = re.compile(rb"\r\n|\r|\n")
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -132,13 +144,15 @@ def _in_parts(n, emit, take, own):
     ``take(lo, hi, fd)`` reads that pipe and says whether the part was whole.
     A part whose child failed (an exit status other than 0, or a short read) is
     redone by ``own``, so every error, and its order, is the serial loop's.
+    ``range(n)`` need not count anything exactly: a text reader passes an
+    estimate of its lines and maps each part to a byte range of its file.
 
     There are ``1 + panel._HELPERS`` parts (a child process has its own GIL),
     none shorter than _EXPORT_BLOCK, and one where ``os.fork`` is missing.
     A forked child reads the caller's data where it lies, with nothing to
-    pickle; it calls only numpy and the float and text builtins, no lock the
-    idle row-block threads could hold.  Every child is reaped before this
-    returns, and killed first if it raises.
+    pickle; it calls only numpy, the float and text builtins and ``os`` reads,
+    no lock the idle row-block threads could hold.  Every child is reaped
+    before this returns, and killed first if it raises.
     """
     k = max(1, min(1 + _panel._HELPERS, n // _EXPORT_BLOCK)) if hasattr(os, "fork") else 1
     cuts = [n * i // k for i in range(k + 1)]
@@ -193,27 +207,221 @@ def _fork_part(emit, lo, hi):
     return [pid, r]
 
 
-def _rows_in_parts(parse, n_rows, n_cols):
-    """A C-ordered (n_cols, n_rows) float64 array whose columns lo..hi are the rows
-    of ``parse(lo, hi)``, the parts parsed in forked children by :func:`_in_parts`."""
-    out = np.empty((n_cols, n_rows))
+def _rows_in_parts(rows, n, n_cols):
+    """The float64 rows of a job done in parts by :func:`_in_parts`, as a list of
+    (k, n_cols) arrays in part order.
+
+    ``rows(lo, hi, own)`` gives the rows of the part ``[lo, hi)`` as (k, n_cols)
+    arrays, k not known beforehand.  ``own`` is False in a forked child: its
+    error is dropped and its part redone by the caller, so it need not name a
+    line.  A child sends its row count, then its rows, through its pipe.
+    """
+    pieces = []
 
     def own(lo, hi):
-        out[:, lo:hi] = parse(lo, hi).T
+        pieces.extend(rows(lo, hi, True))
+
+    def emit(lo, hi):
+        buf = bytearray(8)
+        count = 0
+        for part in rows(lo, hi, False):
+            buf += memoryview(part.reshape(-1).view(np.uint8))
+            count += len(part)
+        buf[:8] = np.int64(count).tobytes()
+        return buf
 
     def take(lo, hi, fd):
-        part = np.empty((hi - lo, n_cols))
-        view = memoryview(part).cast("B")
-        while view:
-            got = os.readv(fd, [view])
-            if not got:
-                return False
-            view = view[got:]
-        out[:, lo:hi] = part.T
+        count = np.empty(1, np.int64)
+        if not _read_exactly(fd, count):
+            return False
+        part = np.empty((int(count[0]), n_cols))
+        if not _read_exactly(fd, part):
+            return False
+        pieces.append(part)
         return True
 
-    _in_parts(n_rows, parse, take, own)
-    return out
+    _in_parts(n, emit, take, own)
+    return pieces
+
+
+def _read_exactly(fd, arr):
+    """Fill the C-ordered array `arr` from the pipe `fd`; False if it ends first."""
+    view = memoryview(arr.reshape(-1).view(np.uint8))
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _columns(pieces, *spans):
+    """The columns lo..hi of the row arrays `pieces`, stacked in order, as one
+    C-ordered (hi - lo, rows) array for each span (lo, hi); each piece leaves
+    the list once it is copied."""
+    n_rows = sum(len(p) for p in pieces)
+    outs = [np.empty((hi - lo, n_rows)) for lo, hi in spans]
+    at = 0
+    pieces.reverse()
+    while pieces:
+        piece = pieces.pop()
+        for out, (lo, hi) in zip(outs, spans):
+            out[:, at:at + len(piece)] = piece[:, lo:hi].T
+        at += len(piece)
+    return outs
+
+
+# ---------------------------------------------------------------------------
+# Text files in byte ranges
+# ---------------------------------------------------------------------------
+
+def _reader(fh):
+    """``read(pos, size)`` for the binary file `fh`, and the file's size.
+
+    A regular file is read with ``os.pread``, so forked parts share its
+    descriptor without sharing an offset.  Anything else (a FIFO, say), or a
+    platform without ``os.pread``, has size None: ``read`` ignores ``pos`` and
+    reads on, and the file is read in one part.
+    """
+    info = os.fstat(fh.fileno())
+    if stat.S_ISREG(info.st_mode) and hasattr(os, "pread"):
+        fd = fh.fileno()
+        return (lambda pos, size: os.pread(fd, size, pos)), info.st_size
+    return (lambda pos, size: fh.read(size)), None
+
+
+def _chunks(read, pos, end):
+    """The bytes from `pos` to `end` (None: to the end of the file) in chunks of
+    whole lines, about _READ_CHUNK bytes each: a chunk ends just after a line
+    end, never between a CR and its LF, or at the end of the file."""
+    tail = b""
+    while end is None or pos < end:
+        data = read(pos, _READ_CHUNK if end is None else min(_READ_CHUNK, end - pos))
+        if not data:
+            break
+        pos += len(data)
+        data = tail + data if tail else data
+        cut = data.rfind(b"\n") + 1 or data.rfind(b"\r", 0, -1) + 1
+        tail = data[cut:]
+        if cut:
+            yield data[:cut]
+    if tail:
+        yield tail
+
+
+def _line_count(data):
+    """The line ends in `data` (whole lines from :func:`_chunks`)."""
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+
+
+def _line_start(read, pos, size):
+    """The offset just after the first LF at pos - 1 or later, or `size`: a line
+    starts there.  Every part of a read finds its bounds by this one rule."""
+    pos -= 1
+    while pos < size:
+        data = read(pos, min(1 << 16, size - pos))
+        if not data:
+            break
+        k = data.find(b"\n")
+        if k >= 0:
+            return pos + k + 1
+        pos += len(data)
+    return size
+
+
+def _decoded(chunk):
+    """The text of a byte chunk, read with errors="surrogateescape", and whether
+    it is all UTF-8; if not, :func:`_check_utf8` finds the line."""
+    try:
+        return chunk.decode(), True
+    except UnicodeDecodeError:
+        return chunk.decode("utf-8", "surrogateescape"), False
+
+
+def _split_lines(text):
+    """The lines of a chunk's text, without their line ends."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+class _Head:
+    """The lines at the top of a text file, one at a time, as (line number,
+    text read with errors="surrogateescape"), from its byte chunks.
+
+    After a line, ``at`` is the byte offset of the next one and ``rest()`` the
+    chunks of whole lines from there on.
+    """
+
+    def __init__(self, chunks):
+        self._chunks = chunks
+        self._chunk = b""
+        self._pos = 0  # the offset of the next line in _chunk
+        self._base = 0  # the file offset of _chunk
+        self.lineno = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        while self._pos == len(self._chunk):
+            self._base += len(self._chunk)
+            self._chunk, self._pos = next(self._chunks), 0
+        end = _LINE_END.search(self._chunk, self._pos)
+        start, self._pos = self._pos, end.end() if end else len(self._chunk)
+        self.lineno += 1
+        line = self._chunk[start:end.start() if end else None]
+        return self.lineno, line.decode("utf-8", "surrogateescape")
+
+    @property
+    def at(self):
+        return self._base + self._pos
+
+    def rest(self):
+        return itertools.chain([self._chunk[self._pos:]], self._chunks)
+
+    def lines_to(self, size):
+        """About how many lines lie between ``at`` and `size`, judged by the rest
+        of the chunk read; at least 1."""
+        sample = self._chunk[self._pos:]
+        return max(1, (size - self.at) * _line_count(sample) // len(sample)) if sample else 1
+
+
+def _text_parts(read, size, head, rows, n_cols):
+    """The rows of the lines after `head`'s last, read in parts of the file's
+    bytes by :func:`_rows_in_parts`, as (k, n_cols) arrays in file order.
+
+    ``rows(chunks, first)`` parses the lines of the byte chunks, the first of
+    them line `first` (None in a forked child).  The parts are cut at LF line
+    ends, in proportion to an estimate of the lines left; each part finds its
+    own bounds and reads its own range.  A part the caller redoes (its child
+    failed) counts the line ends before it to number its lines.  A file with no
+    size (not a regular file) is read on from `head`, in one part.
+    """
+    if size is None:
+        return list(rows(head.rest(), head.lineno + 1))
+    start, n = head.at, head.lines_to(size)
+
+    def cut(i):
+        if i <= 0:
+            return start
+        if i >= n:
+            return size
+        return _line_start(read, start + (size - start) * i // n, size)
+
+    def part(lo, hi, own):
+        lo, hi = cut(lo), cut(hi)
+        first = None
+        if own and lo == start:
+            first = head.lineno + 1
+        elif own:  # a part redone after its child failed
+            first = 1 + sum(map(_line_count, _chunks(read, 0, lo)))
+        return rows(_chunks(read, lo, hi), first)
+
+    return _rows_in_parts(part, n, n_cols)
 
 
 def _check_names(names, where):
@@ -255,6 +463,67 @@ def _parse_panel_rows(lines, n_fields):
                       comments=None, ndmin=2)
 
 
+def _panel_rows(chunks, first, n_fields, path):
+    """The values of the panel data lines in the byte chunks, one (k, n_fields - 1)
+    array per chunk; the first line is line `first`.
+
+    Each line gets the checks the header's lines get: UTF-8 text, blank and
+    comment lines skipped, then the field count.  The first line that fails
+    them ends the read: its error is raised once the lines before it are
+    parsed, so an unparseable value on an earlier line is the error.  `first`
+    is None in a forked child, which neither numbers lines nor looks for the
+    bad one.
+    """
+    lineno = (first or 1) - 1
+    for chunk in chunks:
+        text, utf8 = _decoded(chunk)
+        lines, linenos, stop = [], [], None
+        try:
+            for line in _split_lines(text):
+                lineno += 1
+                if not utf8:
+                    _check_utf8(line, lineno, path)
+                if not line.strip() or line.startswith("#"):
+                    continue
+                if line.count(",") != n_fields - 1:
+                    raise ValueError(
+                        f"line {lineno}: expected {n_fields} fields, got {line.count(',') + 1}"
+                    )
+                lines.append(line)
+                linenos.append(lineno)
+        except ValueError as exc:
+            stop = exc
+        if lines:
+            yield _panel_values(lines, linenos, n_fields, first is not None)
+        if stop is not None:
+            raise stop
+
+
+def _panel_values(lines, linenos, n_fields, name_line):
+    """:func:`_parse_panel_rows` of `lines`; if one is bad and `name_line`, the
+    error names the first bad line's number."""
+    try:
+        return _parse_panel_rows(lines, n_fields)
+    except ValueError:
+        if not name_line:
+            raise
+        # Bisect for the first bad line with the same parser: a run of lines
+        # that parses holds no bad line, so [lo, hi) keeps one.
+        lo, hi = 0, len(lines)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                _parse_panel_rows(lines[lo:mid], n_fields)
+                lo = mid
+            except ValueError:
+                hi = mid
+        try:
+            _parse_panel_rows(lines[lo:hi], n_fields)
+        except ValueError:
+            raise ValueError(f"line {linenos[lo]}: unparseable value in panel file") from None
+        raise
+
+
 def _header_number(path, meta, key, default, kind):
     """A positive header value; an int must be whole, a float finite."""
     text = meta.get(key, default)
@@ -270,83 +539,57 @@ def _header_number(path, meta, key, default, kind):
 
 
 def _read_panel_csv(path) -> ReturnPanel:
+    """A panel CSV file as a ReturnPanel.
+
+    The caller reads only the lines down to the column header; the data lines
+    after it are read in byte-range parts by :func:`_text_parts`, each part in
+    chunks of whole lines, so no process holds the file's lines at once.  The
+    first bad line's error, header and metadata first, is the one raised.
+    """
     meta = {}
     header = None
-    lines, linenos = [], []
-    stop = None  # the first bad line's error, raised after the values before it
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    stop = None  # the first bad line's error, raised after the metadata checks
+    with open(path, "rb") as fh:
+        read, size = _reader(fh)
+        head = _Head(_chunks(read, 0, None))
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                _check_utf8(raw, lineno, path)
-                line = raw.rstrip("\r\n")
+            for lineno, line in head:
+                _check_utf8(line, lineno, path)
                 if not line.strip():
                     continue
                 if line.startswith("#"):
-                    # The metadata is the comment block above the header; a
-                    # comment line after it is only a comment.
+                    # The metadata is the comment block above the header.
                     body = line[1:].strip()
-                    if header is None and ":" in body:
+                    if ":" in body:
                         key, _, val = body.partition(":")
                         meta[key.strip()] = val.strip()
-                    elif header is None and not meta:
+                    elif not meta:
                         meta["magic"] = body
                     continue
-                if header is None:
-                    header = line.split(",")
-                    if header[0] != "bar" or len(header) < 2:
-                        raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
-                    _check_names(header[1:], f"line {lineno}")
-                    commas = len(header) - 1
-                    continue
-                if line.count(",") != commas:
-                    raise ValueError(
-                        f"line {lineno}: expected {len(header)} fields, got {line.count(',') + 1}"
-                    )
-                lines.append(line)
-                linenos.append(lineno)
+                header = line.split(",")
+                if header[0] != "bar" or len(header) < 2:
+                    raise ValueError(f"line {lineno}: panel header must be 'bar,<assets...>'")
+                _check_names(header[1:], f"line {lineno}")
+                break
         except ValueError as exc:
             stop = exc
-    if meta.get("magic") != PANEL_MAGIC:
-        raise ValueError(f"not a {PANEL_MAGIC} file: {path}")
-    standardized = meta.get("standardized", "false")
-    if standardized not in ("true", "false"):
-        raise ValueError(
-            f"{path}: header 'standardized' must be true or false, got {standardized!r}"
-        )
-    bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
-    dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
-
-    part = [0, 0]  # the part parse() was last given; a child's write stays in the child
-
-    def parse(lo, hi):
-        part[:] = lo, hi
-        return _parse_panel_rows(lines[lo:hi], len(header))
-
-    if lines:
-        try:
-            values = _rows_in_parts(parse, len(lines), len(header) - 1)
-        except ValueError:
-            # The caller's own parse of the first bad part failed (a forked
-            # part that failed is redone here).  Bisect that part for its first
-            # bad line with the same parser: a run of lines that parses holds
-            # no bad line, so [lo, hi) keeps one.
-            lo, hi = part
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                try:
-                    _parse_panel_rows(lines[lo:mid], len(header))
-                    lo = mid
-                except ValueError:
-                    hi = mid
-            try:
-                _parse_panel_rows(lines[lo:hi], len(header))
-            except ValueError:
-                raise ValueError(f"line {linenos[lo]}: unparseable value in panel file") from None
-            raise
-    if stop is not None:
-        raise stop
-    if not lines:
+        if meta.get("magic") != PANEL_MAGIC:
+            raise ValueError(f"not a {PANEL_MAGIC} file: {path}")
+        standardized = meta.get("standardized", "false")
+        if standardized not in ("true", "false"):
+            raise ValueError(
+                f"{path}: header 'standardized' must be true or false, got {standardized!r}"
+            )
+        bars_per_day = _header_number(path, meta, "bars_per_day", "1", int)
+        dt_seconds = _header_number(path, meta, "dt_seconds", "60.0", float)
+        if stop is not None:
+            raise stop
+        pieces = [] if header is None else _text_parts(
+            read, size, head, lambda chunks, first: _panel_rows(chunks, first, len(header), path),
+            len(header) - 1)
+    if not sum(map(len, pieces)):
         raise ValueError(f"panel file {path} has no data rows")
+    values, = _columns(pieces, (0, len(header) - 1))
     return ReturnPanel(
         assets=header[1:],
         returns=_frozen(values),
@@ -396,48 +639,167 @@ def _csv_records(fh, path):
 
 
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = _csv_records(fh, path)
-        lineno, header = next(reader)
-        if len(header) < 2:
-            raise ValueError("wide CSV needs a time column plus at least one asset")
-        assets = [a.strip() for a in header[1:]]
-        _check_names(assets, f"line {lineno}")
-        # Each row's price cells are kept as one comma-joined string, not one
-        # object per cell; a row with a comma inside a cell holds no price.
-        timestamps, rows, linenos = [], [], []
-        stop = None  # the first bad line's error, raised after the prices before it
+    """A wide price CSV file as a PricePanel.
+
+    A regular file that holds no '"' is read like a panel file: the caller
+    reads down to the column header, and the data lines are read in byte-range
+    parts by :func:`_text_parts`, each line split by :func:`_wide_record`
+    (what the csv module makes of it).  A quoted field may hold a line end, so
+    a file with a '"', and anything not a regular file, is read as CSV records
+    in one pass.  Either way each row's prices are converted in parts.
+    """
+    with open(path, "rb") as fh:
+        read, size = _reader(fh)
+        if size is None or _holds(read, size, b'"'):
+            with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
+                                  newline="") as text:
+                assets, pieces, stop = _wide_records(text, path)
+        else:
+            head = _Head(_chunks(read, 0, None))
+            for lineno, line in head:
+                _check_utf8(line, lineno, path)
+                _check_field_sizes(line, lineno, path)
+                if _wide_record(line)[0]:
+                    break
+            else:
+                raise ValueError(f"empty file: {path}")
+            assets = _wide_assets(line.split(","), lineno)
+            pieces = _text_parts(
+                read, size, head, lambda chunks, first: _wide_rows(chunks, first, assets, path),
+                1 + len(assets))
+            stop = None
+    if stop is not None:
+        raise stop
+    if not sum(map(len, pieces)):
+        raise ValueError(f"no data rows in {path}")
+    timestamps, prices = _columns(pieces, (0, 1), (1, 1 + len(assets)))
+    return _price_panel(prices, assets, timestamps[0], bars_per_day)
+
+
+def _wide_assets(header, lineno):
+    """The asset names of a wide CSV header record (on line `lineno`)."""
+    if len(header) < 2:
+        raise ValueError("wide CSV needs a time column plus at least one asset")
+    assets = [a.strip() for a in header[1:]]
+    _check_names(assets, f"line {lineno}")
+    return assets
+
+
+def _wide_records(fh, path):
+    """(assets, row pieces, the first bad line's error or None) of a wide CSV
+    text file read as CSV records: the header, then each data record checked
+    in one pass, and the prices of the records before any bad one converted in
+    parts (timestamp first, as :func:`_price_rows` gives them)."""
+    reader = _csv_records(fh, path)
+    lineno, header = next(reader)
+    assets = _wide_assets(header, lineno)
+    # Each row's price cells are kept as one comma-joined string, not one
+    # object per cell; a row with a comma inside a cell holds no price.
+    timestamps, rows, linenos = [], [], []
+    stop = None  # the first bad line's error, raised after the prices before it
+    try:
+        for lineno, row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            timestamps.append(_timestamp(row[0], lineno))
+            cells = ",".join(row[1:])
+            if cells.count(",") != len(row) - 2:
+                for a, c in zip(assets, row[1:]):
+                    _price(c, a, lineno)  # raises at the first bad cell
+            rows.append(cells)
+            linenos.append(lineno)
+    except ValueError as exc:
+        stop = exc
+    pieces = _rows_in_parts(
+        lambda lo, hi, own: [_price_rows(timestamps[lo:hi], rows[lo:hi], linenos[lo:hi], assets)],
+        len(rows), 1 + len(assets))
+    return assets, pieces, stop
+
+
+def _holds(read, size, byte):
+    """Whether the `size` bytes of a file hold `byte`."""
+    pos = 0
+    while pos < size:
+        data = read(pos, _READ_CHUNK)
+        if not data:
+            break
+        if byte in data:
+            return True
+        pos += len(data)
+    return False
+
+
+def _wide_record(line):
+    """(field count, first field, the text after its comma) of a wide CSV line
+    holding no '"'; the count is 0 if no field holds more than whitespace.
+
+    For such a line csv.reader's fields are ``[first, *rest.split(",")]``
+    (``[first]`` if it holds no comma), and the csv reader skips a record
+    with no such field.
+    """
+    first, _, rest = line.partition(",")
+    if not first.strip() and not rest.replace(",", "").strip():
+        return 0, first, rest
+    return line.count(",") + 1, first, rest
+
+
+def _check_field_sizes(line, lineno, path):
+    """The csv reader's error for a line holding a field over
+    ``csv.field_size_limit()`` characters, for a line read without it."""
+    limit = csv.field_size_limit()
+    if len(line) > limit and max(map(len, line.split(","))) > limit:
+        raise ValueError(f"{path}: line {lineno}: malformed CSV record: "
+                         f"field larger than field limit ({limit})")
+
+
+def _wide_rows(chunks, first, assets, path):
+    """The timestamp and prices of the wide CSV data lines in the byte chunks,
+    one (k, 1 + N) array per chunk, timestamp first; the first line is line
+    `first` (None in a forked child).
+
+    The lines hold no '"'.  Each gets the checks of the CSV record pass:
+    UTF-8 text, the csv reader's field size limit, records with no non-blank
+    field skipped, the field count and the timestamp.  The first line that
+    fails them ends the read, as in :func:`_panel_rows`.
+    """
+    n_fields = 1 + len(assets)
+    lineno = (first or 1) - 1
+    for chunk in chunks:
+        text, utf8 = _decoded(chunk)
+        timestamps, rows, linenos, stop = [], [], [], None
         try:
-            for lineno, row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-                timestamps.append(_timestamp(row[0], lineno))
-                cells = ",".join(row[1:])
-                if cells.count(",") != len(row) - 2:
-                    for a, c in zip(assets, row[1:]):
-                        _price(c, a, lineno)  # raises at the first bad cell
+            for line in _split_lines(text):
+                lineno += 1
+                if not utf8:
+                    _check_utf8(line, lineno, path)
+                _check_field_sizes(line, lineno, path)
+                count, stamp, cells = _wide_record(line)
+                if not count:
+                    continue
+                if count != n_fields:
+                    raise ValueError(f"line {lineno}: expected {n_fields} fields, got {count}")
+                timestamps.append(_timestamp(stamp, lineno))
                 rows.append(cells)
                 linenos.append(lineno)
         except ValueError as exc:
             stop = exc
-    values = _rows_in_parts(lambda lo, hi: _price_rows(rows[lo:hi], linenos[lo:hi], assets),
-                            len(rows), len(assets))
-    if stop is not None:
-        raise stop
-    if not rows:
-        raise ValueError(f"no data rows in {path}")
-    return _price_panel(values, assets, timestamps, bars_per_day)
+        if rows:
+            yield _price_rows(timestamps, rows, linenos, assets)
+        if stop is not None:
+            raise stop
 
 
-def _price_rows(rows, linenos, assets):
-    """Comma-joined wide CSV price cells as float64 rows, NaN for a blank cell."""
-    out = np.empty((len(rows), len(assets)))
+def _price_rows(timestamps, rows, linenos, assets):
+    """Wide CSV data rows as float64 rows: the timestamp, then the prices of the
+    comma-joined price cells, NaN for a blank cell."""
+    out = np.empty((len(rows), 1 + len(assets)))
+    out[:, 0] = timestamps
     for k, row in enumerate(rows):
         cells = row.split(",")
         try:
-            out[k] = list(map(float, cells))  # float() strips what strip() would
+            out[k, 1:] = list(map(float, cells))  # float() strips what strip() would
         except ValueError:  # a blank cell, or a bad one: one cell at a time
-            out[k] = [_price(c, a, linenos[k]) for a, c in zip(assets, cells)]
+            out[k, 1:] = [_price(c, a, linenos[k]) for a, c in zip(assets, cells)]
     return out
 
 
@@ -705,24 +1067,60 @@ def _write_plot(out_dir, name, tag, cfg_hash, col_names, xs, ys):
 
 @contextlib.contextmanager
 def _output_dir(path):
-    """Create the output directory and hold a lock file in it for the run."""
+    """Create the output directory and hold its lock file for the run.
+
+    The lock is an ``fcntl.flock`` on ``.xcorr-lock``, which the kernel drops
+    when its holder dies: a lock file a killed run left behind is taken over,
+    and that run's ``.xcorr-partial-*`` directories are removed.  Where
+    ``fcntl`` is missing, the lock file is created exclusively instead.
+    """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ValueError(f"--out {path}: cannot create the output directory "
                          f"({e.strerror})") from None
     lock = os.path.join(path, ".xcorr-lock")
-    try:
-        os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        raise ValueError(
-            f"output directory {path} is locked by another run (remove {lock} if stale)"
-        ) from None
+    locked = ValueError(
+        f"output directory {path} is locked by another run (remove {lock} if stale)"
+    )
+    if fcntl is None:
+        try:
+            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            raise locked from None
+        fd = None
+    else:
+        fd = _flock(lock, locked)
+        for name in os.listdir(path):
+            if name.startswith(".xcorr-partial-"):
+                shutil.rmtree(os.path.join(path, name), ignore_errors=True)
     try:
         yield path
     finally:
         with contextlib.suppress(OSError):
             os.remove(lock)
+        if fd is not None:
+            os.close(fd)
+
+
+def _flock(lock, locked):
+    """An open descriptor of the file `lock` holding its exclusive flock; raise
+    `locked` if a live process holds it.  A holder removes the file before it
+    lets go, so a lock taken on a file no longer at `lock` is tried again."""
+    while True:
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with contextlib.suppress(FileNotFoundError):
+                if os.path.samestat(os.fstat(fd), os.stat(lock)):
+                    return fd
+        except BlockingIOError:
+            os.close(fd)
+            raise locked from None
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
 
 
 def _load_panel(cfg) -> ReturnPanel:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -37,6 +38,18 @@ def _read(path):
 def _stderr_json(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)
+
+
+@contextlib.contextmanager
+def _holding(lock):
+    """Hold the run lock `lock` of an output directory, as a live run does."""
+    if xcorr.cli.fcntl is None:
+        lock.write_text("")
+        yield
+        return
+    with open(lock, "w") as fh:
+        xcorr.cli.fcntl.flock(fh, xcorr.cli.fcntl.LOCK_EX)
+        yield
 
 
 def _reference_export(r, path, extra_comments=()):
@@ -931,10 +944,45 @@ class TestMainErrors:
     def test_locked_output_dir(self, panel_file, tmp_path, capsys):
         out = tmp_path / "busy"
         out.mkdir()
-        (out / ".xcorr-lock").write_text("")
-        rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
+        lock = out / ".xcorr-lock"
+        with _holding(lock):
+            rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
         assert rc == 1
-        assert "locked" in _stderr_json(capsys)["error"]
+        assert _stderr_json(capsys)["error"] == (
+            f"output directory {out} is locked by another run (remove {lock} if stale)")
+
+    @pytest.mark.skipif(xcorr.cli.fcntl is None or not hasattr(os, "fork"),
+                        reason="needs fcntl and os.fork")
+    def test_lock_of_a_killed_run_is_taken_over(self, panel_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["spectrum", "--input", panel_file, "--out", str(out)]
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # takes the lock, starts its artifact set, then waits to be killed
+            try:
+                with xcorr.cli._output_dir(str(out)):
+                    tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
+                    os.write(w, b"x")
+                    while True:
+                        signal.pause()
+            finally:
+                os._exit(0)
+        try:
+            assert os.read(r, 1) == b"x"
+            assert main(argv) == 1  # a live holder keeps the lock
+            assert _stderr_json(capsys)["error"] == (
+                f"output directory {out} is locked by another run "
+                f"(remove {out / '.xcorr-lock'} if stale)")
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+            os.close(w)
+        left = os.listdir(out)  # what the kill left behind
+        assert ".xcorr-lock" in left and any(n.startswith(".xcorr-partial-") for n in left)
+        assert main(argv) == 0
+        assert not [n for n in os.listdir(out) if n.startswith(".xcorr-")]
+        assert "spectrum.json" in os.listdir(out)
 
     @pytest.mark.parametrize("fmt", ["panel", "wide"])
     def test_bars_per_day_below_one_is_an_error(self, panel_file, prices_small_path,

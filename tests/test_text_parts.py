@@ -5,12 +5,17 @@ forked child may outlive the call that started it.
 """
 
 import contextlib
+import csv
 import math
 import os
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xcorr.cli as cli
 from xcorr import panel
@@ -167,6 +172,33 @@ class TestSameOutput:
             assert np.array_equal(read[count].prices, read[0].prices)
             assert np.array_equal(read[count].timestamps, read[0].timestamps)
         assert not np.isnan(read[0].prices).any()
+
+    @pytest.mark.parametrize("count", (1, 3))
+    def test_caller_parses_only_its_own_part(self, tmp_path, helpers, monkeypatch, count):
+        # 5000 lines per process; the cuts follow the bytes, so the caller's
+        # part is about 5000 lines, and a child that does its part sends it.
+        bars = 5000 * (1 + count)
+        export_panel(_returns(3, bars, seed=17), tmp_path / "panel.csv")
+        _write_wide(tmp_path / "wide.csv", 3, bars - 1)
+        parent, rows = os.getpid(), []
+
+        def counted(real):
+            def wrapper(*args):
+                out = real(*args)
+                if os.getpid() == parent:
+                    rows.append(len(out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(cli, "_parse_panel_rows", counted(cli._parse_panel_rows))
+        monkeypatch.setattr(cli, "_price_rows", counted(cli._price_rows))
+        helpers(count)
+        ingest(str(tmp_path / "panel.csv"), "panel")
+        assert abs(sum(rows) - 5000) < 100
+        rows.clear()
+        with pytest.warns(UserWarning):
+            ingest(str(tmp_path / "wide.csv"), "wide", bars_per_day=7)
+        assert abs(sum(rows) - 5000) < 100
 
     def test_wide_values_are_the_float_of_each_cell(self, tmp_path, helpers):
         path = tmp_path / "wide.csv"
@@ -502,3 +534,274 @@ class TestNoChildOutlivesTheCall:
         with self._one_process(tmp_path):
             with pytest.raises(ValueError, match="^line 16: unparseable value"):
                 ingest(str(path), "panel")
+
+
+def _fed_through_fifo(tmp_path, data, read):
+    """read(path) of a FIFO that a thread fills with `data`; the reader may stop early."""
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read(str(fifo))
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        fifo.unlink()
+
+
+ENDINGS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+def _outcome(read, path):
+    """What a read of `path` gives: ('ok', value, warnings) or ('error', message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = read(path)
+        except ValueError as exc:
+            return ("error", str(exc))
+    return ("ok", value, [str(w.message) for w in caught])
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestLineEndingsAndPipes:
+    """The 12 x 3000 panel (two parts with a helper) and a wide file of the same
+    shape, with each line ending, from a file and from a FIFO, at each helper
+    count: every read equals the LF file's, values and errors alike."""
+
+    @staticmethod
+    def _panel(out):
+        if out[0] != "ok":
+            return out
+        r = out[1]
+        return (out[0], r.assets, r.returns.tobytes(), r.standardized, r.bars_per_day,
+                r.dt_seconds, out[2])
+
+    @staticmethod
+    def _wide(out):
+        if out[0] != "ok":
+            return out
+        p = out[1]
+        return (out[0], p.assets, p.prices.tobytes(), p.timestamps.tobytes(),
+                p.bars_per_day, out[2])
+
+    def _same_everywhere(self, tmp_path, helpers, lf, read, key):
+        want = None
+        for ending, eol in ENDINGS.items():
+            data = lf.replace(b"\n", eol)
+            path = tmp_path / f"{ending}.csv"
+            path.write_bytes(data)
+            for count in HELPERS:
+                helpers(count)
+                got = [key(_outcome(read, str(path))),
+                       key(_fed_through_fifo(tmp_path, data, lambda p: _outcome(read, p)))]
+                want = want or got[0]
+                assert got == [want, want], (ending, count)
+        return want
+
+    def test_panel(self, tmp_path, helpers):
+        path = tmp_path / "panel.csv"
+        export_panel(_returns(12, 3000, seed=14), path)
+        lf = _bytes(path)
+        read = lambda p: ingest(p, "panel")  # noqa: E731
+        ok = self._same_everywhere(tmp_path, helpers, lf, read, self._panel)
+        assert ok[0] == "ok" and ok[2] == _returns(12, 3000, seed=14).returns.tobytes()
+        for bar in (1500, 2500):
+            lines = lf.split(b"\n")
+            fields = lines[HEADER_LINES + bar].split(b",")
+            fields[5] = b"x"
+            lines[HEADER_LINES + bar] = b",".join(fields)
+            bad = self._same_everywhere(tmp_path, helpers, b"\n".join(lines), read, self._panel)
+            assert bad == ("error", f"line {HEADER_LINES + bar + 1}: unparseable value in "
+                                    "panel file")
+
+    @pytest.mark.parametrize("chunk", [61, 4096])
+    def test_chunk_bounds(self, tmp_path, helpers, monkeypatch, chunk):
+        # Reads of a few bytes at a time: a chunk can end inside a line, or
+        # between a CR and its LF, and must still give the whole lines.
+        export_panel(_returns(12, 3000, seed=14), tmp_path / "panel.csv")
+        _write_wide(tmp_path / "wide.csv", 12, 3000)
+        lines = _bytes(tmp_path / "panel.csv").split(b"\n")
+        lines[HEADER_LINES + 2500] = b"2500" + b",x" * 12  # a line number to get right
+        (tmp_path / "panel-bad.csv").write_bytes(b"\n".join(lines))
+        lines = _bytes(tmp_path / "wide.csv").split(b"\n")
+        lines[2501] = b"150000.0" + b",abc" * 12
+        (tmp_path / "wide-bad.csv").write_bytes(b"\n".join(lines))
+        cases = {"panel": (lambda p: ingest(p, "panel"), self._panel),
+                 "wide": (lambda p: ingest(p, "wide", bars_per_day=7), self._wide)}
+        for name, (read, key) in cases.items():
+            for variant in (name, f"{name}-bad"):
+                lf = tmp_path / f"{variant}.csv"
+                want = key(_outcome(read, str(lf)))
+                monkeypatch.setattr(cli, "_READ_CHUNK", chunk)
+                for ending, eol in ENDINGS.items():
+                    path = tmp_path / f"{variant}-{ending}.csv"
+                    path.write_bytes(_bytes(lf).replace(b"\n", eol))
+                    for count in (0, 1):
+                        helpers(count)
+                        got = key(_outcome(read, str(path)))
+                        assert got == want, (variant, ending, count)
+                monkeypatch.undo()
+        assert want == ("error", "line 2502: unparseable price 'abc' for S0")
+
+    def test_wide(self, tmp_path, helpers):
+        path = tmp_path / "wide.csv"
+        _write_wide(path, 12, 3000)
+        lf = _bytes(path)
+        read = lambda p: ingest(p, "wide", bars_per_day=7)  # noqa: E731
+        ok = self._same_everywhere(tmp_path, helpers, lf, read, self._wide)
+        assert ok[0] == "ok" and len(ok[1]) == 11 and len(ok[-1]) == 2  # S1 dropped, S0 filled
+        for row in (1500, 2500):
+            lines = lf.split(b"\n")
+            fields = lines[1 + row].split(b",")
+            fields[3] = b"abc"
+            lines[1 + row] = b",".join(fields)
+            bad = self._same_everywhere(tmp_path, helpers, b"\n".join(lines), read, self._wide)
+            assert bad == ("error", f"line {row + 2}: unparseable price 'abc' for S2")
+
+
+def _awkward_wide(path, eol):
+    """A 4-asset wide file over 3001 bars with what the price reader must skip or
+    mend: interior blanks, ' nan' cells, spaces around cells and all-comma
+    records, every line ending in `eol`."""
+    rng = np.random.default_rng(15)
+    prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal((4, 3001)), axis=1))
+    lines = ["timestamp, A ,B,C,D"]
+    for j in range(3001):
+        cells = [repr(float(v)) for v in prices[:, j]]
+        if j % 400 == 7:
+            cells[0] = ""
+        if j % 500 == 9:
+            cells[1] = " nan"
+        if j % 3 == 0:
+            cells[2] = f" {cells[2]} "
+        lines.append(f"{j * 60.0!r}," + ",".join(cells))
+        if j % 700 == 5:
+            lines.append(",,,,")
+    path.write_bytes((eol.join(lines) + eol).encode())
+
+
+def _quote_one_cell(path, quoted):
+    """Write `path` to `quoted` with line 10's cell 2 as '"<value>"'."""
+    lines = _bytes(path).split(b"\n")
+    fields = lines[10].split(b",")
+    fields[2] = b'"' + fields[2] + b'"'
+    lines[10] = b",".join(fields)
+    quoted.write_bytes(b"\n".join(lines))
+
+
+# Edits to the awkward wide file, each a bad line the reader must name the
+# same way on both paths: (the bar whose line is replaced, its new text).
+WIDE_EDITS = {
+    "none": None,
+    "bad_price": (1200, "72000.0,1.0,abc,2.0,3.0"),
+    "short_line": (2600, "156000.0,1.0"),
+    "bad_timestamp": (40, "t40,1.0,2.0,3.0,4.0"),
+    "huge_field": (2000, "120000.0,1.0,2.0,3.0," + "9" * (2 ** 17 + 1)),
+}
+
+
+@needs_fork
+class TestWidePathsAgree:
+    """A wide file holding no '"' is split without the csv module; with one cell
+    quoted, the same file goes through csv.reader.  Both give the same panel,
+    warnings and errors."""
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("edit", sorted(WIDE_EDITS))
+    def test_same_panel_warnings_and_errors(self, tmp_path, helpers, monkeypatch, eol, edit):
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        _awkward_wide(plain, eol)
+        if WIDE_EDITS[edit]:
+            bar, text = WIDE_EDITS[edit]
+            lines = _bytes(plain).decode().split(eol)
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"{bar * 60.0!r},"))
+            lines[at] = text
+            plain.write_bytes(eol.join(lines).encode())
+        _quote_one_cell(plain, quoted)
+        read = lambda p: ingest(p, "wide", bars_per_day=10)  # noqa: E731
+        key = TestLineEndingsAndPipes._wide
+        for count in HELPERS:
+            helpers(count)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_csv_records", _raise)  # the quote-free file never needs it
+                fast = key(_outcome(read, str(plain)))
+            slow = key(_outcome(read, str(quoted)))
+            if slow[0] == "error":
+                slow = ("error", slow[1].replace(str(quoted), str(plain)))
+            assert slow == fast, (edit, count)
+        if edit == "none":
+            assert fast[0] == "ok" and fast[1] == ["A", "B", "C", "D"]
+            assert fast[-1] == ["asset A: forward-filled 8 missing bar(s)",
+                                "asset B: forward-filled 6 missing bar(s)"]
+        else:
+            assert fast[0] == "error"
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(st.text(st.characters(exclude_characters='"\r\n'), max_size=30)
+           | st.lists(st.sampled_from(["", " ", "1", "x", "\t", "\x0c", "　", "nan"]),
+                      max_size=5).map(",".join))
+    def test_record_split_is_the_csv_readers(self, line):
+        row = next(csv.reader([line + "\n"]))
+        count, first, rest = cli._wide_record(line)
+        if not any(f.strip() for f in row):
+            assert count == 0
+        else:
+            assert count == len(row)
+            assert ([first, *rest.split(",")] if "," in line else [first]) == row
+
+
+class TestReadPeaks:
+    """Peak bytes traced in the calling process while ``ingest`` reads a fixed
+    100 x 8192 panel CSV and its wide price CSV, over the panel's bytes: the
+    result is one panel, and the parts are one more while they are stacked."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("peaks")
+        r = _returns(100, 8192, seed=16)
+        export_panel(r, root / "panel.csv")
+        # The prices of the panel's first 8191 returns, so 8192 bars, with a
+        # few gaps (forward-filled) in every tenth asset.
+        steps = np.cumsum(1e-3 * np.sign(r.returns[:, :-1]), axis=1)
+        cells = np.hstack([np.zeros((100, 1)), steps]).tolist()
+        for i in range(0, 100, 10):
+            for j in range(100 + i, 8192, 1000):
+                cells[i][j] = None
+        with open(root / "wide.csv", "w") as fh:
+            fh.write("timestamp," + ",".join(r.assets) + "\n")
+            for j in range(8192):
+                fh.write(f"{j * 60.0!r}," + ",".join(
+                    "" if row[j] is None else repr(100.0 + row[j]) for row in cells) + "\n")
+        return r.returns.nbytes, root
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_panel_csv(self, files, helpers, count):
+        unit, root = files
+        helpers(count)
+        assert self.peak(lambda: ingest(str(root / "panel.csv"), "panel")) <= 2.5 * unit
+
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_wide_csv(self, files, helpers, count):
+        unit, root = files
+        helpers(count)
+        assert self.peak(lambda: ingest(str(root / "wide.csv"), "wide", bars_per_day=7)) \
+            <= 2.5 * unit

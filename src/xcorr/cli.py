@@ -58,7 +58,6 @@ MISSING_DROP_FRACTION = 0.05
 MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
 _EXPORT_BLOCK = 1024
-_PIPE_CHUNK = 1 << 20
 _READ_CHUNK = 1 << 20
 # A line ends at LF, CRLF or a lone CR, as text read with newline="" splits it.
 _LINE_END = re.compile(rb"\r\n|\r|\n")
@@ -85,7 +84,7 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
     Rows are formatted in blocks of _EXPORT_BLOCK bars, so only one block of
     Python floats exists at a time.  The bars are cut into parts formatted on
     every core by :func:`_in_parts`; a forked child's text goes from its pipe
-    to the file in chunks of at most _PIPE_CHUNK bytes.
+    to the file in chunks of at most _READ_CHUNK bytes.
     """
     _check_names(r.assets, f"panel file {path}")
     x = r.returns
@@ -118,7 +117,7 @@ def export_panel(r: ReturnPanel, path, extra_comments=()):
 
         def take(lo, hi, fd):
             sent[lo] = 0
-            while chunk := os.read(fd, _PIPE_CHUNK):
+            while chunk := os.read(fd, _READ_CHUNK):
                 sent[lo] += body.write(chunk)
             return True
 
@@ -207,43 +206,6 @@ def _fork_part(emit, lo, hi):
     return [pid, r]
 
 
-def _rows_in_parts(rows, n, n_cols):
-    """The float64 rows of a job done in parts by :func:`_in_parts`, as a list of
-    (k, n_cols) arrays in part order.
-
-    ``rows(lo, hi, own)`` gives the rows of the part ``[lo, hi)`` as (k, n_cols)
-    arrays, k not known beforehand.  ``own`` is False in a forked child: its
-    error is dropped and its part redone by the caller, so it need not name a
-    line.  A child sends its row count, then its rows, through its pipe.
-    """
-    pieces = []
-
-    def own(lo, hi):
-        pieces.extend(rows(lo, hi, True))
-
-    def emit(lo, hi):
-        buf = bytearray(8)
-        count = 0
-        for part in rows(lo, hi, False):
-            buf += memoryview(part.reshape(-1).view(np.uint8))
-            count += len(part)
-        buf[:8] = np.int64(count).tobytes()
-        return buf
-
-    def take(lo, hi, fd):
-        count = np.empty(1, np.int64)
-        if not _read_exactly(fd, count):
-            return False
-        part = np.empty((int(count[0]), n_cols))
-        if not _read_exactly(fd, part):
-            return False
-        pieces.append(part)
-        return True
-
-    _in_parts(n, emit, take, own)
-    return pieces
-
-
 def _read_exactly(fd, arr):
     """Fill the C-ordered array `arr` from the pipe `fd`; False if it ends first."""
     view = memoryview(arr.reshape(-1).view(np.uint8))
@@ -329,23 +291,20 @@ def _line_start(read, pos, size):
     return size
 
 
-def _decoded(chunk):
-    """The text of a byte chunk, read with errors="surrogateescape", and whether
-    it is all UTF-8; if not, :func:`_check_utf8` finds the line."""
+def _chunk_lines(chunk):
+    """The lines of a byte chunk of whole lines, without their line ends, read
+    with errors="surrogateescape", and whether the chunk is all UTF-8; if not,
+    :func:`_check_utf8` finds the line."""
     try:
-        return chunk.decode(), True
+        text, utf8 = chunk.decode(), True
     except UnicodeDecodeError:
-        return chunk.decode("utf-8", "surrogateescape"), False
-
-
-def _split_lines(text):
-    """The lines of a chunk's text, without their line ends."""
+        text, utf8 = chunk.decode("utf-8", "surrogateescape"), False
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
-    return lines
+    return lines, utf8
 
 
 class _Head:
@@ -392,18 +351,22 @@ class _Head:
 
 def _text_parts(read, size, head, rows, n_cols):
     """The rows of the lines after `head`'s last, read in parts of the file's
-    bytes by :func:`_rows_in_parts`, as (k, n_cols) arrays in file order.
+    bytes by :func:`_in_parts`, as (k, n_cols) arrays in file order.
 
     ``rows(chunks, first)`` parses the lines of the byte chunks, the first of
-    them line `first` (None in a forked child).  The parts are cut at LF line
-    ends, in proportion to an estimate of the lines left; each part finds its
-    own bounds and reads its own range.  A part the caller redoes (its child
-    failed) counts the line ends before it to number its lines.  A file with no
-    size (not a regular file) is read on from `head`, in one part.
+    them line `first`, into (k, n_cols) arrays, k not known beforehand.  The
+    parts are cut at LF line ends, in proportion to an estimate of the lines
+    left; each part finds its own bounds and reads its own range.  A forked
+    child passes `first` None: its error is dropped and its part redone by the
+    caller, so it need not name a line.  It sends its row count, then its rows,
+    through its pipe.  A part the caller redoes counts the line ends before it
+    to number its lines.  A file with no size (not a regular file) is read on
+    from `head`, in one part.
     """
     if size is None:
         return list(rows(head.rest(), head.lineno + 1))
     start, n = head.at, head.lines_to(size)
+    pieces = []
 
     def cut(i):
         if i <= 0:
@@ -412,16 +375,35 @@ def _text_parts(read, size, head, rows, n_cols):
             return size
         return _line_start(read, start + (size - start) * i // n, size)
 
-    def part(lo, hi, own):
+    def own(lo, hi):
         lo, hi = cut(lo), cut(hi)
-        first = None
-        if own and lo == start:
+        if lo == start:
             first = head.lineno + 1
-        elif own:  # a part redone after its child failed
+        else:  # a part redone after its child failed
             first = 1 + sum(map(_line_count, _chunks(read, 0, lo)))
-        return rows(_chunks(read, lo, hi), first)
+        pieces.extend(rows(_chunks(read, lo, hi), first))
 
-    return _rows_in_parts(part, n, n_cols)
+    def emit(lo, hi):
+        buf = bytearray(8)
+        count = 0
+        for part in rows(_chunks(read, cut(lo), cut(hi)), None):
+            buf += memoryview(part.reshape(-1).view(np.uint8))
+            count += len(part)
+        buf[:8] = np.int64(count).tobytes()
+        return buf
+
+    def take(lo, hi, fd):
+        count = np.empty(1, np.int64)
+        if not _read_exactly(fd, count):
+            return False
+        part = np.empty((int(count[0]), n_cols))
+        if not _read_exactly(fd, part):
+            return False
+        pieces.append(part)
+        return True
+
+    _in_parts(n, emit, take, own)
+    return pieces
 
 
 def _check_names(names, where):
@@ -476,10 +458,10 @@ def _panel_rows(chunks, first, n_fields, path):
     """
     lineno = (first or 1) - 1
     for chunk in chunks:
-        text, utf8 = _decoded(chunk)
+        chunk_lines, utf8 = _chunk_lines(chunk)
         lines, linenos, stop = [], [], None
         try:
-            for line in _split_lines(text):
+            for line in chunk_lines:
                 lineno += 1
                 if not utf8:
                     _check_utf8(line, lineno, path)
@@ -646,7 +628,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
     parts by :func:`_text_parts`, each line split by :func:`_wide_record`
     (what the csv module makes of it).  A quoted field may hold a line end, so
     a file with a '"', and anything not a regular file, is read as CSV records
-    in one pass.  Either way each row's prices are converted in parts.
+    in one pass, and its prices are converted in the calling process.
     """
     with open(path, "rb") as fh:
         read, size = _reader(fh)
@@ -689,7 +671,7 @@ def _wide_records(fh, path):
     """(assets, row pieces, the first bad line's error or None) of a wide CSV
     text file read as CSV records: the header, then each data record checked
     in one pass, and the prices of the records before any bad one converted in
-    parts (timestamp first, as :func:`_price_rows` gives them)."""
+    one :func:`_price_rows` call (timestamp first)."""
     reader = _csv_records(fh, path)
     lineno, header = next(reader)
     assets = _wide_assets(header, lineno)
@@ -710,10 +692,8 @@ def _wide_records(fh, path):
             linenos.append(lineno)
     except ValueError as exc:
         stop = exc
-    pieces = _rows_in_parts(
-        lambda lo, hi, own: [_price_rows(timestamps[lo:hi], rows[lo:hi], linenos[lo:hi], assets)],
-        len(rows), 1 + len(assets))
-    return assets, pieces, stop
+    # A record that failed after its timestamp parsed left one timestamp over.
+    return assets, [_price_rows(timestamps[:len(rows)], rows, linenos, assets)], stop
 
 
 def _holds(read, size, byte):
@@ -765,10 +745,10 @@ def _wide_rows(chunks, first, assets, path):
     n_fields = 1 + len(assets)
     lineno = (first or 1) - 1
     for chunk in chunks:
-        text, utf8 = _decoded(chunk)
+        lines, utf8 = _chunk_lines(chunk)
         timestamps, rows, linenos, stop = [], [], [], None
         try:
-            for line in _split_lines(text):
+            for line in lines:
                 lineno += 1
                 if not utf8:
                     _check_utf8(line, lineno, path)
@@ -862,7 +842,8 @@ def _price_panel(prices, assets, timestamps, bars_per_day):
     A gap takes the last price before it (a warning gives the count); an
     asset missing more than 5% of its bars is dropped with a warning.
     `prices` is the reader's own C-ordered array: it is filled in place and
-    frozen, and copied only when an asset is dropped.
+    frozen, and the panel takes it without a copy.  When an asset is dropped,
+    the kept rows move down over it and the panel takes the leading rows.
     """
     n_bars = prices.shape[1]
     keep = []
@@ -882,7 +863,10 @@ def _price_panel(prices, assets, timestamps, bars_per_day):
     if not keep:
         raise ValueError("all assets dropped during missing-bar handling")
     if len(keep) < len(assets):
-        prices = prices[keep]
+        for dst, src in enumerate(keep):  # dst <= src: each kept row moves down in place
+            if dst != src:
+                prices[dst] = prices[src]
+        prices = _frozen(prices)[:len(keep)]
     return PricePanel(
         assets=[assets[i] for i in keep],
         timestamps=timestamps,

@@ -1,4 +1,6 @@
 import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,23 @@ def helpers(request, monkeypatch):
     (serial), 1 or 3 helper threads."""
     monkeypatch.setattr(xcorr.panel, "_HELPERS", request.param)
     return request.param
+
+
+@pytest.fixture
+def peak():
+    """``peak(fn, unit)``: the most bytes traced at once while ``fn()`` runs,
+    over `unit` bytes (one panel's, say); UserWarnings are ignored.  Forked
+    children allocate outside the trace."""
+    def measure(fn, unit):
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                fn()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+    return measure
 
 
 @pytest.fixture

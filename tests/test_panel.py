@@ -5,7 +5,6 @@ import math
 import os
 import sys
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -702,52 +701,53 @@ class TestAllocationPeaks:
     def raw(self):
         return ReturnPanel(_assets(256), _rows(256, 4096), False, 1, 60.0)
 
-    @staticmethod
-    def peak_ratio(fn, panel):
-        tracemalloc.start()
-        try:
-            fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak / panel.returns.nbytes
+    def test_standardize(self, raw, peak):
+        assert peak(lambda: standardize(raw), raw.returns.nbytes) <= 1.25
 
-    def test_standardize(self, raw):
-        assert self.peak_ratio(lambda: standardize(raw), raw) <= 1.25
-
-    def test_rotate_free(self, raw):
+    def test_rotate_free(self, raw, peak):
         s = standardize(raw)
-        ratio = self.peak_ratio(lambda: apply_surrogate(s, SurrogateSpec("rotate_free", 3)), s)
+        ratio = peak(lambda: apply_surrogate(s, SurrogateSpec("rotate_free", 3)), s.returns.nbytes)
         assert ratio <= 1.25
+
+    @pytest.mark.parametrize("kind, bound", [("rotate_daily", 1.25), ("shuffle_signs", 1.1),
+                                             ("shuffle_magnitudes", 1.1)])
+    def test_rotate_daily_and_shuffles(self, raw, peak, monkeypatch, kind, bound):
+        # 64 bars a day make 4096 bars whole days, so nothing is trimmed; one
+        # helper, as the shuffles' row temporaries are per thread.
+        s = ReturnPanel(raw.assets, standardize(raw).returns, True, 64, 60.0)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", 1)
+        ratio = peak(lambda: apply_surrogate(s, SurrogateSpec(kind, 3)), s.returns.nbytes)
+        assert ratio <= bound
 
     @pytest.mark.parametrize("kind", ["signs_only", "magnitudes_only"])
-    def test_sign_and_magnitude_panels(self, raw, kind):
-        ratio = self.peak_ratio(lambda: apply_surrogate(raw, SurrogateSpec(kind)), raw)
+    def test_sign_and_magnitude_panels(self, raw, peak, kind):
+        ratio = peak(lambda: apply_surrogate(raw, SurrogateSpec(kind)), raw.returns.nbytes)
         assert ratio <= 1.25
 
-    def test_removal_pass(self, raw):
+    def test_removal_pass(self, raw, peak):
         s = standardize(raw)
         z = _top_signal(s)
-        assert self.peak_ratio(lambda: xcorr.modes._regress_out(s, z), s) <= 1.25
+        assert peak(lambda: xcorr.modes._regress_out(s, z), s.returns.nbytes) <= 1.25
 
     @pytest.mark.parametrize("from_original", [False, True])
-    def test_three_removal_passes_hold_one_residual_buffer(self, raw, from_original):
+    def test_three_removal_passes_hold_one_residual_buffer(self, raw, peak, from_original):
         s = standardize(raw)
-        ratio = self.peak_ratio(
-            lambda: xcorr.modes.remove_modes_iterative(s, 3, from_original=from_original), s)
+        ratio = peak(
+            lambda: xcorr.modes.remove_modes_iterative(s, 3, from_original=from_original),
+            s.returns.nbytes)
         assert ratio <= 1.6
 
-    def test_generate_builds_one_panel(self, raw):
+    def test_generate_builds_one_panel(self, raw, peak):
         model = MarketModel(n_assets=256, t_length=4096, bars_per_day=1, market_loading=0.4)
-        assert self.peak_ratio(lambda: generate(model), raw) <= 1.25
+        assert peak(lambda: generate(model), raw.returns.nbytes) <= 1.25
 
-    def test_generate_with_vol_clustering(self, raw):
+    def test_generate_with_vol_clustering(self, raw, peak):
         # The (N, T) log-volatility buffer is the second panel-sized array.
         model = MarketModel(n_assets=256, t_length=4096, bars_per_day=1, market_loading=0.4,
                             vol_clustering=(0.9, 0.2))
-        assert self.peak_ratio(lambda: generate(model), raw) <= 2.2
+        assert peak(lambda: generate(model), raw.returns.nbytes) <= 2.2
 
-    def test_standardized_construction(self, raw):
+    def test_standardized_construction(self, raw, peak):
         s = standardize(raw)
-        ratio = self.peak_ratio(lambda: ReturnPanel(s.assets, s.returns, True, 1, 60.0), s)
+        ratio = peak(lambda: ReturnPanel(s.assets, s.returns, True, 1, 60.0), s.returns.nbytes)
         assert ratio <= 0.25

@@ -1,7 +1,9 @@
 """Panel CSV text formatted and parsed in forked parts (``cli._in_parts``).
 
 Every helper count must give the serial bytes, arrays and errors, and no
-forked child may outlive the call that started it.
+forked child may outlive the call that started it.  The memory a read, and
+each subcommand run on the read's panel, traces in the calling process is
+bounded in units of that panel.
 """
 
 import contextlib
@@ -9,7 +11,6 @@ import csv
 import math
 import os
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -199,6 +200,27 @@ class TestSameOutput:
         with pytest.warns(UserWarning):
             ingest(str(tmp_path / "wide.csv"), "wide", bars_per_day=7)
         assert abs(sum(rows) - 5000) < 100
+
+    @pytest.mark.parametrize("count", (1, 3))
+    def test_exporter_formats_only_its_own_part(self, tmp_path, helpers, monkeypatch, count):
+        # 5000 bars per process: a child that formats its part sends it, so
+        # the caller formats only its own, and the file is the serial one.
+        r = _returns(3, 5000 * (1 + count), seed=18)
+        helpers(0)
+        export_panel(r, tmp_path / "serial.csv")
+        parent, bars, real = os.getpid(), [0], cli._bar_lines
+
+        def counted(*args):
+            for line in real(*args):
+                if os.getpid() == parent:
+                    bars[0] += 1
+                yield line
+
+        monkeypatch.setattr(cli, "_bar_lines", counted)
+        helpers(count)
+        export_panel(r, tmp_path / "parts.csv")
+        assert bars == [5000]
+        assert _bytes(tmp_path / "parts.csv") == _bytes(tmp_path / "serial.csv")
 
     def test_wide_values_are_the_float_of_each_cell(self, tmp_path, helpers):
         path = tmp_path / "wide.csv"
@@ -758,50 +780,83 @@ class TestWidePathsAgree:
             assert ([first, *rest.split(",")] if "," in line else [first]) == row
 
 
+@pytest.fixture(scope="module")
+def peak_files(tmp_path_factory):
+    """The bytes of the 100 x 8192 panel, and a folder holding its panel CSV,
+    its wide price CSV, and a wide CSV of the same shape with asset S1 dropped
+    (``_write_wide``)."""
+    root = tmp_path_factory.mktemp("peaks")
+    r = _returns(100, 8192, seed=16)
+    export_panel(r, root / "panel.csv")
+    # The prices of the panel's first 8191 returns, so 8192 bars, with a few
+    # gaps (forward-filled) in every tenth asset.
+    steps = np.cumsum(1e-3 * np.sign(r.returns[:, :-1]), axis=1)
+    cells = np.hstack([np.zeros((100, 1)), steps]).tolist()
+    for i in range(0, 100, 10):
+        for j in range(100 + i, 8192, 1000):
+            cells[i][j] = None
+    with open(root / "wide.csv", "w") as fh:
+        fh.write("timestamp," + ",".join(r.assets) + "\n")
+        for j in range(8192):
+            fh.write(f"{j * 60.0!r}," + ",".join(
+                "" if row[j] is None else repr(100.0 + row[j]) for row in cells) + "\n")
+    _write_wide(root / "wide-dropped.csv", 100, 8191)
+    return r.returns.nbytes, root
+
+
 class TestReadPeaks:
     """Peak bytes traced in the calling process while ``ingest`` reads a fixed
     100 x 8192 panel CSV and its wide price CSV, over the panel's bytes: the
     result is one panel, and the parts are one more while they are stacked."""
 
-    @pytest.fixture(scope="class")
-    def files(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("peaks")
-        r = _returns(100, 8192, seed=16)
-        export_panel(r, root / "panel.csv")
-        # The prices of the panel's first 8191 returns, so 8192 bars, with a
-        # few gaps (forward-filled) in every tenth asset.
-        steps = np.cumsum(1e-3 * np.sign(r.returns[:, :-1]), axis=1)
-        cells = np.hstack([np.zeros((100, 1)), steps]).tolist()
-        for i in range(0, 100, 10):
-            for j in range(100 + i, 8192, 1000):
-                cells[i][j] = None
-        with open(root / "wide.csv", "w") as fh:
-            fh.write("timestamp," + ",".join(r.assets) + "\n")
-            for j in range(8192):
-                fh.write(f"{j * 60.0!r}," + ",".join(
-                    "" if row[j] is None else repr(100.0 + row[j]) for row in cells) + "\n")
-        return r.returns.nbytes, root
-
-    @staticmethod
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_panel_csv(self, peak_files, helpers, peak, count):
+        unit, root = peak_files
+        helpers(count)
+        assert peak(lambda: ingest(str(root / "panel.csv"), "panel"), unit) <= 2.5
 
     @pytest.mark.parametrize("count", (0, 1))
-    def test_panel_csv(self, files, helpers, count):
-        unit, root = files
+    def test_wide_csv(self, peak_files, helpers, peak, count):
+        unit, root = peak_files
         helpers(count)
-        assert self.peak(lambda: ingest(str(root / "panel.csv"), "panel")) <= 2.5 * unit
+        assert peak(lambda: ingest(str(root / "wide.csv"), "wide", bars_per_day=7), unit) <= 2.5
 
     @pytest.mark.parametrize("count", (0, 1))
-    def test_wide_csv(self, files, helpers, count):
-        unit, root = files
+    def test_wide_csv_with_a_dropped_asset(self, peak_files, helpers, peak, count):
+        # The kept rows move down in place: dropping S1 copies no panel.
+        unit, root = peak_files
         helpers(count)
-        assert self.peak(lambda: ingest(str(root / "wide.csv"), "wide", bars_per_day=7)) \
-            <= 2.5 * unit
+        read = lambda: ingest(str(root / "wide-dropped.csv"), "wide", bars_per_day=7)  # noqa: E731
+        assert peak(read, unit) <= 2.5
+
+
+# Each subcommand's flags (beside --input and --out) and its bound, in panels.
+RUN_PEAKS = {
+    "spectrum": (["spectrum"], 2.5),
+    "elements": (["elements", "--q-target", "2"], 2.5),
+    "mfdfa": (["mfdfa", "--modes", "4"], 2.5),
+    "report": (["report", "--factors", "1,7"], 2.5),
+    "remove": (["remove", "--remove-count", "3"], 3.25),
+    "shuffle_signs": (["surrogate", "--surrogate-kind", "shuffle_signs"], 3.5),
+    "rotate_daily": (["surrogate", "--surrogate-kind", "rotate_daily"], 3.5),
+    "wide": (["spectrum", "--format", "wide"], 3.5),
+}
+
+
+class TestRunPeaks:
+    """Peak bytes traced in the calling process while a subcommand runs in
+    process, with one helper, on the 100 x 8192 panel CSV (its wide CSV for
+    ``--format wide``), over the panel's bytes.  The read alone peaks at about
+    2.3; a whole-panel temporary would add 1.0."""
+
+    @pytest.mark.parametrize("run", sorted(RUN_PEAKS))
+    def test_peak(self, peak_files, helpers, peak, tmp_path, run):
+        unit, root = peak_files
+        flags, bound = RUN_PEAKS[run]
+        name = "wide.csv" if "wide" in flags else "panel.csv"
+        argv = [*flags, "--input", str(root / name), "--out", str(tmp_path / "out")]
+        codes = []
+        helpers(1)
+        ratio = peak(lambda: codes.append(cli.main(argv)), unit)
+        assert codes == [0]
+        assert ratio <= bound

@@ -784,7 +784,7 @@ def _price_rows(timestamps, rows, linenos, assets):
 
 
 def _price(cell, asset, lineno):
-    """One wide CSV price cell: NaN if blank, else a float or a ValueError naming the line."""
+    """One price cell: NaN if blank, else a float or a ValueError naming the line."""
     cell = cell.strip()
     if not cell:
         return np.nan
@@ -809,13 +809,7 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
                 if asset not in asset_index:
                     _check_names([asset], f"line {lineno}")
                     asset_index[asset] = len(asset_index)
-                try:
-                    price = float(row[2])
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: unparseable price {row[2]!r} for {asset}"
-                    ) from None
-                records.append((ts, asset, price, lineno))
+                records.append((ts, asset, _price(row[2], asset, lineno), lineno))
         except ValueError as exc:
             stop = exc
 
@@ -1031,22 +1025,27 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _write_json(out_dir, name, obj):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return path
+def _write_artifact(path, artifact, cfg_hash):
+    """Write one artifact with the config hash in it: a dict as sorted JSON, a
+    ReturnPanel as a panel CSV, a (tag, column names, xs, ys) tuple as plot text."""
+    if isinstance(artifact, dict):
+        with open(path, "w") as fh:
+            fh.write(json.dumps({**artifact, "config_hash": cfg_hash}, sort_keys=True, indent=2)
+                     + "\n")
+    elif isinstance(artifact, ReturnPanel):
+        export_panel(artifact, path, extra_comments=[f"config_hash: {cfg_hash}"])
+    else:
+        _write_plot(path, artifact, cfg_hash)
 
 
-def _write_plot(out_dir, name, tag, cfg_hash, col_names, xs, ys):
-    path = os.path.join(out_dir, name)
+def _write_plot(path, plot, cfg_hash):
+    tag, col_names, xs, ys = plot
     with open(path, "w") as fh:
         fh.write(f"# {tag}\n")
         fh.write(f"# config_hash: {cfg_hash}\n")
         fh.write(f"# {col_names[0]} {col_names[1]}\n")
         for x, y in zip(xs, ys):
             fh.write(f"{float(x)!r} {float(y)!r}\n")
-    return path
 
 
 @contextlib.contextmanager
@@ -1113,8 +1112,10 @@ def _load_panel(cfg) -> ReturnPanel:
         return generate(model)
     if not cfg.get("input"):
         raise ValueError("provide --input or --preset")
-    obj = ingest(cfg["input"], cfg["format"], bars_per_day=cfg["bars_per_day"])
-    r = log_returns(obj) if isinstance(obj, PricePanel) else obj
+    # Rebinding the one name frees the prices before standardize runs.
+    r = ingest(cfg["input"], cfg["format"], bars_per_day=cfg["bars_per_day"])
+    if isinstance(r, PricePanel):
+        r = log_returns(r)
     return r if r.standardized else standardize(r)
 
 
@@ -1192,43 +1193,42 @@ def _spectrum_payload(r: ReturnPanel):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _run_spectrum(cfg, out, h):
+def _rank_plot(tag, s):
+    """The plot of the eigenvalues of the spectrum `s` against their rank."""
+    return tag, ("rank", "eigenvalue"), np.arange(1, s.n_series + 1), s.eigenvalues
+
+
+def _run_spectrum(cfg):
     r = _load_panel(cfg)
     _, s, b, gamma = _spectrum_payload(r)
     payload = s.to_dict()
     payload.update(
         {
-            "config_hash": h,
             "n_series": r.n_assets,
             "t_length": r.t_length,
             "mp": b.to_dict(),
             "overlap_fraction": gamma,
         }
     )
-    _write_json(out, "spectrum.json", payload)
-    ranks = np.arange(1, s.n_series + 1)
-    _write_plot(out, "fig2a-analogue.txt", "fig2a-analogue", h,
-                ("rank", "eigenvalue"), ranks, s.eigenvalues)
+    return {"spectrum.json": payload, "fig2a-analogue.txt": _rank_plot("fig2a-analogue", s)}
 
 
-def _run_elements(cfg, out, h):
+def _run_elements(cfg):
     r = _load_panel(cfg)
     if cfg["q_target"] is not None:
         dist = windowed_element_distribution(r, float(cfg["q_target"]), int(cfg["bins"]))
     else:
         c = correlation_matrix(r)
         dist = element_distribution(c, int(cfg["bins"]))
-    payload = dist.to_dict()
-    payload["config_hash"] = h
-    _write_json(out, "elements.json", payload)
     centers = 0.5 * (dist.bin_edges[:-1] + dist.bin_edges[1:])
-    _write_plot(out, "fig1-analogue.txt", "fig1-analogue", h,
-                ("element", "density"), centers, dist.densities)
+    return {
+        "elements.json": dist.to_dict(),
+        "fig1-analogue.txt": ("fig1-analogue", ("element", "density"), centers, dist.densities),
+    }
 
 
-def _run_remove(cfg, out, h):
-    r = _load_panel(cfg)
-    res = remove_modes_iterative(r, int(cfg["remove_count"]),
+def _run_remove(cfg):
+    res = remove_modes_iterative(_load_panel(cfg), int(cfg["remove_count"]),
                                  from_original=bool(cfg["from_original"]))
     # spectra[p] is the spectrum entering pass p + 1, i.e. after p removals;
     # only the residual left by the last pass still needs diagonalizing.
@@ -1248,35 +1248,33 @@ def _run_remove(cfg, out, h):
     payload = res.to_dict()
     payload.update(
         {
-            "config_hash": h,
             "original_eigenvalues": s0.eigenvalues.tolist(),
             "original_overlap_fraction": overlap_fraction(s0, b),
             "mp": b.to_dict(),
             "passes_spectra": passes,
         }
     )
-    _write_json(out, "remove.json", payload)
-    export_panel(res.panel, os.path.join(out, "residual_panel.csv"),
-                 extra_comments=[f"config_hash: {h}"])
-    _write_plot(out, "fig2c-analogue.txt", "fig2c-analogue", h,
-                ("rank", "eigenvalue"), np.arange(1, s_final.n_series + 1), s_final.eigenvalues)
+    return {
+        "remove.json": payload,
+        "residual_panel.csv": res.panel,
+        "fig2c-analogue.txt": _rank_plot("fig2c-analogue", s_final),
+    }
 
 
-def _run_surrogate(cfg, out, h):
+def _run_surrogate(cfg):
     if not cfg["surrogate_kind"]:
         raise ValueError(f"--surrogate-kind is required; choose one of {KINDS}")
     spec = SurrogateSpec(kind=cfg["surrogate_kind"], seed=cfg["seed"])
     r = _load_panel(cfg)
+    _, s0, b, _ = _spectrum_payload(r)
     sur = apply_surrogate(r, spec)
+    del r  # so standardize does not run beside the original panel
     if not sur.standardized:
         sur = standardize(sur)
-    _, s0, b, _ = _spectrum_payload(r)
     _, s1, _, gamma1 = _spectrum_payload(sur)
-    _write_json(
-        out,
-        "surrogate.json",
-        {
-            "config_hash": h,
+    tag = _FIG_TAG[spec.kind]
+    return {
+        "surrogate.json": {
             "surrogate": spec.to_dict(),
             "original_eigenvalues": s0.eigenvalues.tolist(),
             "surrogate_eigenvalues": s1.eigenvalues.tolist(),
@@ -1285,15 +1283,12 @@ def _run_surrogate(cfg, out, h):
             "surrogate_overlap_fraction": gamma1,
             "surrogate_support_width": float(s1.eigenvalues[0] - s1.eigenvalues[-1]),
         },
-    )
-    export_panel(sur, os.path.join(out, "surrogate_panel.csv"),
-                 extra_comments=[f"config_hash: {h}"])
-    tag = _FIG_TAG[spec.kind]
-    _write_plot(out, f"{tag}.txt", tag, h, ("rank", "eigenvalue"),
-                np.arange(1, s1.n_series + 1), s1.eigenvalues)
+        "surrogate_panel.csv": sur,
+        f"{tag}.txt": _rank_plot(tag, s1),
+    }
 
 
-def _run_mfdfa(cfg, out, h):
+def _run_mfdfa(cfg):
     r = _load_panel(cfg)
     n_modes = int(cfg["modes"])
     if n_modes > r.n_assets:
@@ -1311,41 +1306,40 @@ def _run_mfdfa(cfg, out, h):
         entry["surface"] = surface.to_dict()
         per_mode.append(entry)
     avg = average_spectra(spectra)
-    _write_json(
-        out,
-        "mfdfa.json",
-        {"config_hash": h, "per_mode": per_mode, "average": avg.to_dict()},
-    )
     first = spectra[0]
-    _write_plot(out, "fig6-analogue.txt", "fig6-analogue", h,
-                ("q", "h"), first.q, first.h)
-    _write_plot(out, "fig7-analogue.txt", "fig7-analogue", h,
-                ("alpha", "f"), avg.alpha, avg.f)
+    return {
+        "mfdfa.json": {"per_mode": per_mode, "average": avg.to_dict()},
+        "fig6-analogue.txt": ("fig6-analogue", ("q", "h"), first.q, first.h),
+        "fig7-analogue.txt": ("fig7-analogue", ("alpha", "f"), avg.alpha, avg.f),
+    }
 
 
-def _run_synth(cfg, out, h):
+def _run_synth(cfg):
     if not cfg["preset"]:
         raise ValueError(f"--preset is required; choose one of {PRESET_NAMES}")
     model = preset(cfg["preset"], seed=cfg["seed"])
-    r = generate(model)
-    export_panel(r, os.path.join(out, "panel.csv"),
-                 extra_comments=[f"config_hash: {h}"])
-    _write_json(out, "synth.json", {"config_hash": h, "model": model.to_dict()})
+    return {"panel.csv": generate(model), "synth.json": {"model": model.to_dict()}}
 
 
-def _run_report(cfg, out, h):
+def _run_report(cfg):
     r = _load_panel(cfg)
+    factors = _parse_factors(cfg["factors"])
+    if any(r.bars_per_day % f for f in factors):
+        # A factor above T leaves no coarsened panel, so the list stops at T.
+        limit = min(max(factors), r.t_length)
+        divisors = [d for d in range(1, limit + 1) if r.bars_per_day % d == 0]
+        raise ValueError(
+            f"--factors {cfg['factors']!r} must each divide the {r.bars_per_day} bars per day; "
+            f"the divisors up to {limit} are {', '.join(map(str, divisors))}"
+        )
     c, s, b, gamma = _spectrum_payload(r)
     dist = element_distribution(c, int(cfg["bins"]))
     lam_vs_factor = []
-    for factor in _parse_factors(cfg["factors"]):
+    for factor in factors:
         sc = s if factor == 1 else _spectrum_payload(standardize(coarsen(r, factor)))[1]
         lam_vs_factor.append([factor, float(sc.eigenvalues[0])])
-    _write_json(
-        out,
-        "report.json",
-        {
-            "config_hash": h,
+    return {
+        "report.json": {
             "spectrum": {
                 "eigenvalues": s.eigenvalues.tolist(),
                 "overlap_fraction": gamma,
@@ -1359,14 +1353,14 @@ def _run_report(cfg, out, h):
             },
             "lambda1_vs_coarsening": lam_vs_factor,
         },
-    )
-    _write_plot(out, "lambda1-vs-coarsening.txt", "lambda1-vs-coarsening-analogue", h,
-                ("factor", "lambda1"),
-                [f for f, _ in lam_vs_factor], [l for _, l in lam_vs_factor])
+        "lambda1-vs-coarsening.txt": ("lambda1-vs-coarsening-analogue", ("factor", "lambda1"),
+                                      [f for f, _ in lam_vs_factor],
+                                      [l for _, l in lam_vs_factor]),
+    }
 
 
-# Each subcommand's runner and its --help line.  A runner writes its artifacts
-# into the directory it is given, or raises.
+# Each subcommand's runner and its --help line.  A runner returns its artifacts
+# as {file name: artifact} (see _write_artifact), or raises.
 _COMMANDS = {
     "spectrum": (_run_spectrum, "correlation spectrum vs Marchenko-Pastur bounds"),
     "elements": (_run_elements, "distribution of correlation-matrix elements"),
@@ -1388,11 +1382,11 @@ def run(subcommand: str, cfg: dict) -> int:
         # once the runner has succeeded, so a failed run leaves no partial set.
         partial = tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
         try:
-            echoed = {k: v for k, v in cfg.items() if k != "out"}
-            echoed["config_hash"] = h
-            _write_json(partial, "config.json", echoed)
-            _COMMANDS[subcommand][0](cfg, partial, h)
-            for name in sorted(os.listdir(partial)):
+            artifacts = _COMMANDS[subcommand][0](cfg)
+            artifacts["config.json"] = {k: v for k, v in cfg.items() if k != "out"}
+            for name, artifact in artifacts.items():
+                _write_artifact(os.path.join(partial, name), artifact, h)
+            for name in sorted(artifacts):
                 os.replace(os.path.join(partial, name), os.path.join(out, name))
             return 0
         finally:

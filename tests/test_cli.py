@@ -376,6 +376,25 @@ class TestLongIngest:
             p = ingest(str(path), "long", bars_per_day=3)
         assert p.prices[1, 7] == p.prices[1, 6]
 
+    def test_blank_price_is_a_gap(self, tmp_path):
+        # The same prices as a wide file, B blank at bar 10 in both.
+        wide, long = ["t,A,B"], ["t,asset,price"]
+        for j in range(21):
+            b = "" if j == 10 else f"{50.0 + j}"
+            wide.append(f"{j * 60},{100.0 + j},{b}")
+            long += [f"{j * 60},A,{100.0 + j}", f"{j * 60},B,{b}"]
+        got = {}
+        for fmt, lines in (("wide", wide), ("long", long)):
+            path = tmp_path / f"{fmt}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                p = ingest(str(path), fmt, bars_per_day=3)
+            got[fmt] = (p.assets, list(p.timestamps), p.prices.tobytes(),
+                        [str(w.message) for w in caught])
+        assert got["long"] == got["wide"]
+        assert got["long"][-1] == ["asset B: forward-filled 1 missing bar(s)"]
+
     @pytest.mark.parametrize("row, message", [
         ("0,A,abc", "line 2: unparseable price 'abc' for A"),
         ("soon,A,100", "line 2: unparseable timestamp 'soon'"),
@@ -766,6 +785,33 @@ class TestMainReport:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "divide" in _stderr_json(capsys)["error"]
+
+    def test_default_factors_against_78_bars_fail_before_any_spectrum(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # --factors 1,2,5,10 and --bars-per-day 78 are both defaults.
+        rng = np.random.default_rng(4)
+        prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal((157, 3)), axis=0))
+        path = tmp_path / "prices.csv"
+        path.write_text("t,A,B,C\n" + "".join(f"{60 * j}," + ",".join(map(repr, row)) + "\n"
+                                              for j, row in enumerate(prices.tolist())))
+        calls = []
+        monkeypatch.setattr(xcorr.cli, "correlation_matrix", lambda *args: calls.append(args))
+        rc = main(["report", "--input", str(path), "--format", "wide",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert _stderr_json(capsys)["error"] == (
+            "--factors '1,2,5,10' must each divide the 78 bars per day; "
+            "the divisors up to 10 are 1, 2, 3, 6")
+        assert calls == []
+
+    def test_divisors_of_a_huge_factor_stop_at_the_panel_length(self, panel_file, tmp_path,
+                                                                capsys):
+        rc = main(["report", "--input", panel_file, "--factors", "1,99999999999",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert _stderr_json(capsys)["error"] == (
+            "--factors '1,99999999999' must each divide the 8 bars per day; "
+            "the divisors up to 64 are 1, 2, 4, 8")
 
     @pytest.mark.parametrize("factors", ["a", ",", "0,2"])
     def test_unparseable_factors_are_an_error(self, panel_file, tmp_path, capsys, factors):

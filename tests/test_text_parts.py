@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xcorr.cli as cli
-from xcorr import panel
+from xcorr import panel, synth
 from xcorr.cli import export_panel, ingest
 from xcorr.panel import ReturnPanel, _frozen
 
@@ -780,6 +780,48 @@ class TestWidePathsAgree:
             assert ([first, *rest.split(",")] if "," in line else [first]) == row
 
 
+# A price file with no record that holds more than whitespace, and how each
+# reader gets it: (format, text added to the file, read from a FIFO).  The
+# '""' record (one quoted blank field) sends a wide file to the csv reader.
+EMPTY_FILES = {"0-byte": b"", "blank lines": b"\n  \n\r\n\t\n"}
+EMPTY_READS = {
+    "wide": ("wide", b"", False),
+    "wide with a quote": ("wide", b'""\n', False),
+    "wide from a FIFO": ("wide", b"", True),
+    "long": ("long", b"", False),
+}
+
+
+class TestNoPrices:
+    """The documented errors for a price file that holds no prices."""
+
+    @pytest.mark.parametrize("body", sorted(EMPTY_FILES))
+    @pytest.mark.parametrize("how", sorted(EMPTY_READS))
+    def test_empty_file(self, tmp_path, how, body):
+        fmt, extra, fifo = EMPTY_READS[how]
+        if fifo and not hasattr(os, "mkfifo"):
+            pytest.skip("needs os.mkfifo")
+        read = lambda p: _outcome(lambda q: ingest(q, fmt, bars_per_day=1), p)  # noqa: E731
+        data = EMPTY_FILES[body] + extra
+        if fifo:
+            got, path = _fed_through_fifo(tmp_path, data, read), tmp_path / "fifo.csv"
+        else:
+            path = tmp_path / "empty.csv"
+            path.write_bytes(data)
+            got = read(str(path))
+        assert got == ("error", f"empty file: {path}")
+
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("long", "t,asset,price\n", "no data rows in {}"),
+        ("wide", "t,A\n0,100\n60,\n120,\n", "all assets dropped during missing-bar handling"),
+    ])
+    def test_no_prices_left(self, tmp_path, fmt, text, message):
+        path = tmp_path / "prices.csv"
+        path.write_text(text)
+        assert _outcome(lambda p: ingest(p, fmt, bars_per_day=1), str(path)) == (
+            "error", message.format(path))
+
+
 @pytest.fixture(scope="module")
 def peak_files(tmp_path_factory):
     """The bytes of the 100 x 8192 panel, and a folder holding its panel CSV,
@@ -836,10 +878,10 @@ RUN_PEAKS = {
     "elements": (["elements", "--q-target", "2"], 2.5),
     "mfdfa": (["mfdfa", "--modes", "4"], 2.5),
     "report": (["report", "--factors", "1,7"], 2.5),
-    "remove": (["remove", "--remove-count", "3"], 3.25),
-    "shuffle_signs": (["surrogate", "--surrogate-kind", "shuffle_signs"], 3.5),
-    "rotate_daily": (["surrogate", "--surrogate-kind", "rotate_daily"], 3.5),
-    "wide": (["spectrum", "--format", "wide"], 3.5),
+    "remove": (["remove", "--remove-count", "3"], 2.5),
+    "shuffle_signs": (["surrogate", "--surrogate-kind", "shuffle_signs"], 2.5),
+    "rotate_daily": (["surrogate", "--surrogate-kind", "rotate_daily"], 2.5),
+    "wide": (["spectrum", "--format", "wide"], 3.25),
 }
 
 
@@ -860,3 +902,14 @@ class TestRunPeaks:
         ratio = peak(lambda: codes.append(cli.main(argv)), unit)
         assert codes == [0]
         assert ratio <= bound
+
+    def test_synth(self, helpers, peak, tmp_path, monkeypatch):
+        # The one_factor preset cut to 100 x 8192: generated, then exported.
+        monkeypatch.setattr(cli, "preset",
+                            lambda name, seed=0: synth.preset(name, seed=seed, t_length=8192))
+        argv = ["synth", "--preset", "one_factor", "--out", str(tmp_path / "out")]
+        codes = []
+        helpers(1)
+        ratio = peak(lambda: codes.append(cli.main(argv)), 100 * 8192 * 8)
+        assert codes == [0]
+        assert ratio <= 2.25

@@ -55,6 +55,7 @@ __all__ = ["main", "run", "ingest", "export_panel"]
 
 PANEL_MAGIC = "xcorr-panel-v1"
 MISSING_DROP_FRACTION = 0.05
+BARS_PER_DAY = 78  # the default grid of a wide or long price file
 MAX_Q_POINTS = 10_000
 _MAX_SCALES = 10_000
 _EXPORT_BLOCK = 1024
@@ -869,7 +870,7 @@ def _price_panel(prices, assets, timestamps, bars_per_day):
     )
 
 
-def ingest(path, format: str, bars_per_day: int = 78):
+def ingest(path, format: str, bars_per_day: int = BARS_PER_DAY):
     """Read one input file: 'panel' -> ReturnPanel, 'wide'/'long' -> PricePanel."""
     if not os.path.exists(path):
         raise ValueError(f"input file not found: {path}")
@@ -910,7 +911,7 @@ class _Flag(NamedTuple):
 _FLAGS = {
     "input": _Flag(str, None, "input file path"),
     "format": _Flag(str, "panel", "input file format", choices=("long", "wide", "panel")),
-    "bars_per_day": _Flag(int, 78, "grid points per trading day", ge=1, lt=2**63),
+    "bars_per_day": _Flag(int, BARS_PER_DAY, "grid points per trading day", ge=1, lt=2**63),
     "preset": _Flag(str, None, "generate input from a synthetic-market preset",
                     choices=PRESET_NAMES),
     "seed": _Flag(int, None, "random seed (falls back to env XCORR_SEED, then 0)",
@@ -971,9 +972,10 @@ def _check_bounds(key, val, name):
 
 
 def _effective_config(args) -> dict:
+    """The run's config; every check that needs only the config is made here,
+    before --out exists.  A run's config.json replays it: its `subcommand` is
+    taken from the command line and its `config_hash` is recomputed."""
     cfg = dict(DEFAULTS)
-    cfg["subcommand"] = args.command
-    file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -984,38 +986,45 @@ def _effective_config(args) -> dict:
             raise ValueError(f"config file {args.config}: {e}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(DEFAULTS) - {"subcommand", "config_hash"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update({k: _check_file_value(args.config, k, v) for k, v in file_cfg.items()})
+        cfg.update({k: _check_file_value(args.config, k, v)
+                    for k, v in file_cfg.items() if k in DEFAULTS})
+    cfg["subcommand"] = args.command
     for key in DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if cfg["seed"] is None:
-        env = os.environ.get("XCORR_SEED")
-        if env is not None:
-            try:
-                cfg["seed"] = int(env)
-            except ValueError:
-                raise ValueError(f"XCORR_SEED must be an integer, got {env!r}") from None
-            _check_bounds("seed", cfg["seed"], "XCORR_SEED")
-        else:
-            cfg["seed"] = 0
+        env = os.environ.get("XCORR_SEED", "0")
+        try:
+            cfg["seed"] = int(env)
+        except ValueError:
+            raise ValueError(f"XCORR_SEED must be an integer, got {env!r}") from None
+        _check_bounds("seed", cfg["seed"], "XCORR_SEED")
     for key in _FLAGS:
         _check_bounds(key, cfg[key], _flag_name(key))
-    # A bad grid or factor list fails here, before --out is created.
     if args.command == "mfdfa":
         _mfdfa_config(cfg)
     if args.command == "report":
         _parse_factors(cfg["factors"])
-    explicit_bpd = "bars_per_day" in file_cfg or getattr(args, "bars_per_day", None) is not None
-    if explicit_bpd and (cfg["preset"] or cfg["format"] == "panel"):
-        source = "the preset" if cfg["preset"] else "the panel file header"
-        raise ValueError(
-            f"--bars-per-day {cfg['bars_per_day']!r} would be ignored: {source} sets "
-            "the bars per day; pass it only with --format wide or long"
-        )
+    # A key the panel source leaves unused must hold its default, so that
+    # config.json and its hash record only what the run used.
+    unused = ()
+    if cfg["preset"]:
+        unused, why = ("input", "format", "bars_per_day"), "the preset makes the panel"
+    elif cfg["format"] == "panel":
+        unused, why = ("bars_per_day",), "the panel file header sets the bars per day"
+    for key in unused:
+        if cfg[key] != DEFAULTS[key]:
+            raise ValueError(f"{_flag_name(key)} {cfg[key]!r} would be ignored: {why}")
+    if args.command == "synth" and not cfg["preset"]:
+        raise ValueError(f"--preset is required; choose one of {PRESET_NAMES}")
+    if args.command == "surrogate" and not cfg["surrogate_kind"]:
+        raise ValueError(f"--surrogate-kind is required; choose one of {KINDS}")
+    if not (cfg["preset"] or cfg["input"]):
+        raise ValueError("provide --input or --preset")
     return cfg
 
 
@@ -1107,11 +1116,8 @@ def _flock(lock, locked):
 
 
 def _load_panel(cfg) -> ReturnPanel:
-    if cfg.get("preset"):
-        model = preset(cfg["preset"], seed=cfg["seed"])
-        return generate(model)
-    if not cfg.get("input"):
-        raise ValueError("provide --input or --preset")
+    if cfg["preset"]:
+        return generate(preset(cfg["preset"], seed=cfg["seed"]))
     # Rebinding the one name frees the prices before standardize runs.
     r = ingest(cfg["input"], cfg["format"], bars_per_day=cfg["bars_per_day"])
     if isinstance(r, PricePanel):
@@ -1262,8 +1268,6 @@ def _run_remove(cfg):
 
 
 def _run_surrogate(cfg):
-    if not cfg["surrogate_kind"]:
-        raise ValueError(f"--surrogate-kind is required; choose one of {KINDS}")
     spec = SurrogateSpec(kind=cfg["surrogate_kind"], seed=cfg["seed"])
     r = _load_panel(cfg)
     _, s0, b, _ = _spectrum_payload(r)
@@ -1295,8 +1299,7 @@ def _run_mfdfa(cfg):
         raise ValueError(f"--modes {n_modes} exceeds the number of assets N={r.n_assets}")
     _, s, _, _ = _spectrum_payload(r)
     mf_cfg = _mfdfa_config(cfg)
-    per_mode = []
-    spectra = []
+    per_mode, spectra = [], []
     for z in eigensignals(r, s, range(1, n_modes + 1)):
         surface, spec = analyze(z.series, mf_cfg)
         spectra.append(spec)
@@ -1315,8 +1318,6 @@ def _run_mfdfa(cfg):
 
 
 def _run_synth(cfg):
-    if not cfg["preset"]:
-        raise ValueError(f"--preset is required; choose one of {PRESET_NAMES}")
     model = preset(cfg["preset"], seed=cfg["seed"])
     return {"panel.csv": generate(model), "synth.json": {"model": model.to_dict()}}
 
@@ -1419,8 +1420,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
         return run(args.command, cfg)

@@ -25,7 +25,6 @@ __all__ = [
     "segment_variances",
     "fluctuation",
     "fluctuation_surface",
-    "hurst_exponents",
     "singularity_spectrum",
     "analyze",
     "average_spectra",
@@ -297,12 +296,6 @@ def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
         _each(lambda n: fluctuation(segment_variances(y, n, l), q), [int(n) for n in scales])
     )
     return FluctuationSurface(q_grid=cfg.q_grid.copy(), scales=scales.copy(), values=values)
-
-
-def hurst_exponents(surface: FluctuationSurface) -> np.ndarray:
-    """The generalized Hurst exponents h(q) of a surface: ``surface.h``, the slope
-    of ln F_q(n) against ln n over every scale, fitted when the surface was built."""
-    return surface.h
 
 
 def singularity_spectrum(h, q_grid) -> SingularitySpectrum:

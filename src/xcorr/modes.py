@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, standardize
+from .panel import ReturnPanel, _each_block, _frozen, _integer, standardize
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -113,10 +113,11 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
         )
     out = []
     for i in indices:
+        i = _integer(i, "mode index")
         if not 1 <= i <= s.n_series:
             raise ValueError(f"mode index {i} outside 1..{s.n_series}")
         z = s.eigenvectors[:, i - 1] @ r.returns
-        out.append(Eigensignal(index=int(i), series=z, eigenvalue=float(s.eigenvalues[i - 1])))
+        out.append(Eigensignal(index=i, series=z, eigenvalue=float(s.eigenvalues[i - 1])))
     return out
 
 
@@ -222,6 +223,7 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
     ``spectra``.  The caller's panel is never written: the first pass
     allocates the residual array, and every later pass overwrites it.
     """
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > r.n_assets:

@@ -89,20 +89,14 @@ def _as_matrix(values, name):
     return arr
 
 
-def _row_blocks(x):
-    """Slices of `_ROW_BLOCK` rows that together cover `x`, one cache-sized
-    block each.  A panel's array is C-ordered (see :func:`_as_matrix`), so a
-    block is contiguous and each row's reductions see the same values in the
-    same order as over the whole array: the bits agree.
-    """
-    for start in range(0, x.shape[0], _ROW_BLOCK):
-        yield slice(start, start + _ROW_BLOCK)
-
-
 def _each_block(fn, x):
-    """``[fn(b) for b in _row_blocks(x)]``, the blocks shared out among threads
-    by :func:`_each`."""
-    return _each(fn, list(_row_blocks(x)))
+    """``[fn(b) for b in blocks]`` over the slices of `_ROW_BLOCK` rows that
+    together cover `x`, one cache-sized block each, shared out among threads
+    by :func:`_each`.  A panel's array is C-ordered (see :func:`_as_matrix`),
+    so a block is contiguous and each row's reductions see the same values in
+    the same order as over the whole array: the bits agree.
+    """
+    return _each(fn, [slice(lo, lo + _ROW_BLOCK) for lo in range(0, x.shape[0], _ROW_BLOCK)])
 
 
 def _each(fn, items):
@@ -367,9 +361,9 @@ def coarsen(r: ReturnPanel, factor: int) -> ReturnPanel:
     `factor` must divide bars_per_day so day boundaries survive. A trailing
     partial block is dropped. The result is not standardized.
     """
-    if int(factor) != factor or factor < 1:
+    factor = _integer(factor, "factor")
+    if factor < 1:
         raise ValueError(f"factor must be a positive integer, got {factor}")
-    factor = int(factor)
     if r.bars_per_day % factor != 0:
         raise ValueError(
             f"factor {factor} does not divide bars_per_day {r.bars_per_day}; "

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each, _record, standardize
+from .panel import ReturnPanel, _each, _integer, _real, _record, standardize
 
 __all__ = [
     "CorrelationMatrix",
@@ -123,9 +123,9 @@ class MpBounds:
     lambda_max: float = field(init=False)
 
     def __post_init__(self):
+        self.q = _real(self.q, "Q")
         if not self.q > 0:
             raise ValueError(f"Q must be positive, got {self.q}")
-        self.q = float(self.q)
         self.lambda_min = 1.0 + 1.0 / self.q - 2.0 / math.sqrt(self.q)
         self.lambda_max = 1.0 + 1.0 / self.q + 2.0 / math.sqrt(self.q)
 
@@ -226,9 +226,15 @@ def overlap_fraction(s: EigenSpectrum, b: MpBounds) -> float:
     return float(inside.mean())
 
 
-def _distribution_from_entries(entries: np.ndarray, n_bins: int) -> ElementDistribution:
+def _bin_count(n_bins):
+    """`n_bins` as an int of at least 10, or a ValueError naming it."""
+    n_bins = _integer(n_bins, "n_bins")
     if n_bins < 10:
         raise ValueError(f"need at least 10 bins, got {n_bins}")
+    return n_bins
+
+
+def _distribution_from_entries(entries: np.ndarray, n_bins: int) -> ElementDistribution:
     densities, edges = np.histogram(entries, bins=n_bins, density=True)
     mu = float(entries.mean())
     sigma = float(entries.std())
@@ -249,6 +255,7 @@ def element_distribution(c: CorrelationMatrix, n_bins: int = 50) -> ElementDistr
     """Unit-area histogram of the off-diagonal entries, each pair counted once."""
     if c.n_series < 3:
         raise ValueError("need at least 3 series for a meaningful element distribution")
+    n_bins = _bin_count(n_bins)
     entries = c.values[np.triu_indices(c.n_series, k=1)]
     return _distribution_from_entries(entries, n_bins)
 
@@ -265,8 +272,10 @@ def windowed_element_distribution(
     n = r.n_assets
     if n < 3:
         raise ValueError("need at least 3 series for a meaningful element distribution")
+    q_target = _real(q_target, "q_target")
     if not 0 < q_target < math.inf:
         raise ValueError(f"q_target must be finite and positive, got {q_target!r}")
+    n_bins = _bin_count(n_bins)
     # A window longer than the panel holds nothing; capping it there keeps a
     # huge q_target * N from overflowing int().
     window = int(round(min(q_target * n, r.t_length + 1)))

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import xcorr.cli
 import xcorr.modes
+import xcorr.synth
 from xcorr.cli import export_panel, ingest, main
 from xcorr.modes import remove_modes_iterative
 from xcorr.panel import PricePanel, ReturnPanel, log_returns, standardize
@@ -967,6 +968,154 @@ class TestConfigPrecedence:
         cfg = json.loads((out / "config.json").read_text())
         assert "out" not in cfg
         assert cfg["subcommand"] == "spectrum"
+
+
+def _small_preset(name, seed=0):
+    """A preset cut to 6 x 1200, enough for every subcommand's defaults."""
+    return xcorr.synth.preset(name, seed=seed, n_assets=6, t_length=1200)
+
+
+def _tree(out):
+    """{file name: bytes} of an output directory."""
+    return {name: _read(out / name) for name in sorted(os.listdir(out))}
+
+
+def _key_argv(tmp_path, key, value, via):
+    """`key` set to `value` by its flag or by a config file, as argv."""
+    if via == "flag":
+        return [xcorr.cli._flag_name(key), str(value)]
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps({key: value}))
+    return ["--config", str(path)]
+
+
+# Each subcommand's extra flags in a replay: each extra flag set away from its default.
+_REPLAY_EXTRAS = {
+    "spectrum": [],
+    "elements": ["--q-target", "2", "--bins", "20"],
+    "remove": ["--remove-count", "2", "--from-original"],
+    "surrogate": ["--surrogate-kind", "rotate_daily", "--seed", "5"],
+    "mfdfa": ["--modes", "2", "--q-grid=-2:2:0.5"],
+    "report": ["--factors", "1,2,5"],
+    "synth": [],
+}
+
+
+class TestReplay:
+    """A run's config.json, passed back as --config, writes the run's bytes."""
+
+    @pytest.fixture
+    def sources(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xcorr.cli, "preset", _small_preset)
+        r = generate(MarketModel(n_assets=5, t_length=1000, bars_per_day=10,
+                                 market_loading=0.5, seed=3))
+        panel = tmp_path / "panel.csv"
+        export_panel(r, panel)
+        prices = 100.0 * np.exp(np.cumsum(np.hstack([np.zeros((5, 1)), 0.01 * r.returns]), axis=1))
+        wide = tmp_path / "wide.csv"
+        wide.write_text("t," + ",".join(r.assets) + "\n" + "".join(
+            f"{60 * j}," + ",".join(repr(float(p)) for p in prices[:, j]) + "\n"
+            for j in range(prices.shape[1])))
+        return {"preset": ["--preset", "one_factor", "--seed", "3"],
+                "panel": ["--input", str(panel)],
+                "wide": ["--input", str(wide), "--format", "wide", "--bars-per-day", "10"]}
+
+    @pytest.mark.parametrize("command, source", [
+        (command, source) for command in _REPLAY_EXTRAS for source in ("preset", "panel", "wide")
+        if command != "synth" or source == "preset"
+    ])
+    def test_config_json_replays_the_run(self, tmp_path, sources, command, source):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        argv = [command, *sources[source], *_REPLAY_EXTRAS[command]]
+        assert main([*argv, "--out", str(first)]) == 0
+        assert main([command, "--config", str(first / "config.json"), "--out", str(replay)]) == 0
+        assert _tree(replay) == _tree(first)
+
+    def test_synth_config_runs_as_spectrum(self, tmp_path, sources):
+        synth, replay, direct = tmp_path / "synth", tmp_path / "replay", tmp_path / "direct"
+        assert main(["synth", *sources["preset"], "--out", str(synth)]) == 0
+        assert main(["spectrum", "--config", str(synth / "config.json"),
+                     "--out", str(replay)]) == 0
+        assert main(["spectrum", *sources["preset"], "--out", str(direct)]) == 0
+        assert _tree(replay) == _tree(direct)
+
+    def test_echoed_subcommand_and_hash_are_replaced(self, tmp_path, sources):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["spectrum", *sources["panel"], "--out", str(first)]) == 0
+        cfg = json.loads((first / "config.json").read_text())
+        cfg.update(subcommand="report", config_hash="0" * 64)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["spectrum", "--config", str(path), "--out", str(replay)]) == 0
+        assert _tree(replay) == _tree(first)
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    @pytest.mark.parametrize("source, key, value", [
+        ("preset", "input", "prices.csv"),
+        ("preset", "format", "wide"),
+        ("preset", "bars_per_day", 5),
+        ("panel", "bars_per_day", 5),
+    ])
+    def test_unused_key_away_from_its_default_is_an_error(self, tmp_path, sources, capsys,
+                                                          source, key, value, via):
+        out = tmp_path / "out"
+        rc = main(["spectrum", *sources[source], *_key_argv(tmp_path, key, value, via),
+                   "--out", str(out)])
+        assert rc == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith(f"{xcorr.cli._flag_name(key)} {value!r} would be ignored")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, key, via", [
+        ("preset", "input", "file"),  # no flag sets null
+        *[("preset", key, via) for key in ("format", "bars_per_day") for via in ("flag", "file")],
+        ("panel", "bars_per_day", "flag"), ("panel", "bars_per_day", "file"),
+    ])
+    def test_unused_key_at_its_default_writes_the_bytes_of_leaving_it_out(
+            self, tmp_path, sources, source, key, via):
+        value = xcorr.cli.DEFAULTS[key]
+        left_out, given = tmp_path / "left_out", tmp_path / "given"
+        assert main(["spectrum", *sources[source], "--out", str(left_out)]) == 0
+        assert main(["spectrum", *sources[source], *_key_argv(tmp_path, key, value, via),
+                     "--out", str(given)]) == 0
+        assert _tree(given) == _tree(left_out)
+
+
+_PANEL = "<panel file>"
+
+
+@pytest.mark.parametrize("argv, body, env", [
+    (["spectrum", "--input", _PANEL], {"bin_count": 30}, None),
+    (["spectrum", "--input", _PANEL], {"bins": "30"}, None),
+    (["spectrum", "--input", _PANEL], "[", None),
+    (["elements", "--input", _PANEL, "--bins", "5"], None, None),
+    (["spectrum", "--input", _PANEL, "--seed", "-1"], None, None),
+    (["spectrum", "--input", _PANEL], None, "lots"),
+    (["mfdfa", "--input", _PANEL, "--q-grid", "1:0:1"], None, None),
+    (["mfdfa", "--input", _PANEL, "--scales", "100"], None, None),
+    (["report", "--input", _PANEL, "--factors", "a"], None, None),
+    (["surrogate", "--input", _PANEL], None, None),
+    (["spectrum", "--input", _PANEL, "--bars-per-day", "5"], None, None),
+    (["spectrum", "--input", _PANEL, "--preset", "one_factor"], None, None),
+    (["spectrum"], None, None),
+    (["synth", "--input", _PANEL], None, None),
+], ids=["unknown-key", "wrong-type", "not-json", "bins", "seed", "env-seed", "q-grid", "scales",
+        "factors", "no-kind", "bars-per-day", "preset-and-input", "no-input", "synth-no-preset"])
+def test_config_only_error_creates_no_out(panel_file, tmp_path, capsys, monkeypatch,
+                                          argv, body, env):
+    """A check that needs only the config fails before --out is created."""
+    monkeypatch.setattr(xcorr.cli, "preset", _small_preset)
+    if env is not None:
+        monkeypatch.setenv("XCORR_SEED", env)
+    argv = [panel_file if a == _PANEL else a for a in argv] + ["--out", str(tmp_path / "out")]
+    if body is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert _stderr_json(capsys)["type"] == "ValueError"
+    assert not (tmp_path / "out").exists()
 
 
 class TestMainErrors:

@@ -16,7 +16,6 @@ from xcorr.mfdfa import (
     default_scales,
     fluctuation,
     fluctuation_surface,
-    hurst_exponents,
     profile,
     segment_variances,
     singularity_spectrum,
@@ -290,14 +289,14 @@ class TestHurstExponents:
         q = default_q_grid()
         values = np.tile(scales.astype(float) ** 0.7, (q.size, 1))
         surf = FluctuationSurface(q_grid=q, scales=scales, values=values)
-        h = hurst_exponents(surf)
+        h = surf.h
         assert np.abs(h - 0.7).max() < 1e-10
         assert surf.fit_residual.max() < 1e-10
 
     def test_amplitude_rescaling_leaves_h_unchanged(self):
         x = _white_noise(4000)
-        h1 = hurst_exponents(fluctuation_surface(x))
-        h2 = hurst_exponents(fluctuation_surface(3.7 * x))
+        h1 = fluctuation_surface(x).h
+        h2 = fluctuation_surface(3.7 * x).h
         assert np.abs(h1 - h2).max() < 1e-10
 
     def test_white_noise_h2_near_half(self):
@@ -594,7 +593,7 @@ def test_threaded_scales_match_the_serial_loop(helpers, name, scale_grid, l):
         warnings.simplefilter("ignore", UserWarning)  # a noisy h(q) fit only warns
         surface, spectrum = analyze(x, cfg)
         ref = FluctuationSurface(q_grid=cfg.q_grid, scales=surface.scales, values=expect)
-        ref_spectrum = singularity_spectrum(hurst_exponents(ref), cfg.q_grid)
+        ref_spectrum = singularity_spectrum(ref.h, cfg.q_grid)
     assert np.array_equal(surface.values, expect)
     for field in ("h", "fit_residual"):
         assert np.array_equal(getattr(surface, field), getattr(ref, field))

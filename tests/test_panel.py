@@ -172,6 +172,33 @@ def test_log_return_additivity_over_day(prices_small_path):
     assert np.allclose(day, expect, atol=1e-10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda r, c, s: coarsen(r, None), "factor must be an integer, got None"),
+    (lambda r, c, s: coarsen(r, math.inf), "factor must be an integer, got inf"),
+    (lambda r, c, s: coarsen(r, 2.0), "factor must be an integer, got 2.0"),
+    (lambda r, c, s: xcorr.spectrum.element_distribution(c, 10.5),
+     "n_bins must be an integer, got 10.5"),
+    (lambda r, c, s: xcorr.spectrum.windowed_element_distribution(r, "2"),
+     "q_target must be a real number, got '2'"),
+    (lambda r, c, s: xcorr.spectrum.windowed_element_distribution(r, 2.0, 10.5),
+     "n_bins must be an integer, got 10.5"),
+    (lambda r, c, s: xcorr.modes.remove_modes_iterative(r, 1.5),
+     "count must be an integer, got 1.5"),
+    (lambda r, c, s: xcorr.modes.remove_modes_iterative(r, None),
+     "count must be an integer, got None"),
+    (lambda r, c, s: eigensignals(r, s, [1.5]), "mode index must be an integer, got 1.5"),
+    (lambda r, c, s: xcorr.spectrum.mp_bounds("4"), "Q must be a real number, got '4'"),
+    (lambda r, c, s: xcorr.spectrum.mp_bounds(None), "Q must be a real number, got None"),
+], ids=["coarsen-None", "coarsen-inf", "coarsen-2.0", "elements-bins", "windowed-q_target",
+        "windowed-bins", "remove-1.5", "remove-None", "eigensignals", "mp-str", "mp-None"])
+def test_numeric_argument_of_the_wrong_type_is_a_named_error(panel_4x64, call, message):
+    c = xcorr.spectrum.correlation_matrix(panel_4x64)
+    s = xcorr.spectrum.eigendecompose(c)
+    with pytest.raises(ValueError) as exc:
+        call(panel_4x64, c, s)
+    assert str(exc.value) == message
+
+
 class TestPanelValidation:
     def test_non_uniform_timestamps_rejected(self):
         with pytest.raises(ValueError, match="uniform"):

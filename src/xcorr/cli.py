@@ -871,17 +871,21 @@ def _price_panel(prices, assets, timestamps, bars_per_day):
 
 
 def ingest(path, format: str, bars_per_day: int = BARS_PER_DAY):
-    """Read one input file: 'panel' -> ReturnPanel, 'wide'/'long' -> PricePanel."""
+    """Read one input file: 'panel' -> ReturnPanel, 'wide'/'long' -> PricePanel.
+    An OSError while opening or reading it is a ValueError naming the file."""
     if not os.path.exists(path):
         raise ValueError(f"input file not found: {path}")
     if os.path.isdir(path):
         raise ValueError(f"--input {path} is a directory, not a file")
-    if format == "panel":
-        return _read_panel_csv(path)
-    if format == "wide":
-        return _read_wide_csv(path, bars_per_day)
-    if format == "long":
-        return _read_long_csv(path, bars_per_day)
+    try:
+        if format == "panel":
+            return _read_panel_csv(path)
+        if format == "wide":
+            return _read_wide_csv(path, bars_per_day)
+        if format == "long":
+            return _read_long_csv(path, bars_per_day)
+    except OSError as e:
+        raise ValueError(f"input file {path}: cannot read it ({e.strerror or e})") from None
     raise ValueError(f"unknown format {format!r}; choose panel, wide or long")
 
 
@@ -973,8 +977,9 @@ def _check_bounds(key, val, name):
 
 def _effective_config(args) -> dict:
     """The run's config; every check that needs only the config is made here,
-    before --out exists.  A run's config.json replays it: its `subcommand` is
-    taken from the command line and its `config_hash` is recomputed."""
+    before the panel is read or made.  A run's config.json replays it: its
+    `subcommand` is taken from the command line and its `config_hash` is
+    recomputed."""
     cfg = dict(DEFAULTS)
     if args.config:
         try:
@@ -1057,48 +1062,60 @@ def _write_plot(path, plot, cfg_hash):
             fh.write(f"{float(x)!r} {float(y)!r}\n")
 
 
-@contextlib.contextmanager
-def _output_dir(path):
-    """Create the output directory and hold its lock file for the run.
-
-    The lock is an ``fcntl.flock`` on ``.xcorr-lock``, which the kernel drops
-    when its holder dies: a lock file a killed run left behind is taken over,
-    and that run's ``.xcorr-partial-*`` directories are removed.  Where
-    ``fcntl`` is missing, the lock file is created exclusively instead.
-    """
+def _write_set(out, artifacts, cfg_hash):
+    """Write a run's artifacts ({file name: artifact}) into the directory `out`,
+    made if missing, under its lock (see :func:`_flock`), which also lets the
+    ``.xcorr-partial-*`` directories of a killed run be removed.  The artifacts
+    go into a fresh partial directory, then move into `out` in name order: a
+    failure before the first move leaves `out` as it was, or gone if this call
+    made it.  An OSError is a ValueError naming `out` and the file."""
+    made = not os.path.isdir(out)
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as e:
-        raise ValueError(f"--out {path}: cannot create the output directory "
+        raise ValueError(f"--out {out}: cannot create the output directory "
                          f"({e.strerror})") from None
-    lock = os.path.join(path, ".xcorr-lock")
-    locked = ValueError(
-        f"output directory {path} is locked by another run (remove {lock} if stale)"
-    )
-    if fcntl is None:
-        try:
-            os.close(os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            raise locked from None
-        fd = None
-    else:
-        fd = _flock(lock, locked)
-        for name in os.listdir(path):
-            if name.startswith(".xcorr-partial-"):
-                shutil.rmtree(os.path.join(path, name), ignore_errors=True)
+    lock = os.path.join(out, ".xcorr-lock")
+    name, fd, partial, moved = ".xcorr-lock", None, None, False
     try:
-        yield path
+        fd = _flock(lock, ValueError(f"output directory {out} is locked by another run "
+                                     f"(remove {lock} if stale)"))
+        for stale in os.listdir(out):
+            if stale.startswith(".xcorr-partial-"):
+                shutil.rmtree(os.path.join(out, stale), ignore_errors=True)
+        name = "a .xcorr-partial-* directory"
+        partial = tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
+        for name, artifact in artifacts.items():
+            _write_artifact(os.path.join(partial, name), artifact, cfg_hash)
+        for name in sorted(artifacts):
+            os.replace(os.path.join(partial, name), os.path.join(out, name))
+            moved = True
+    except OSError as e:
+        raise ValueError(f"--out {out}: cannot write {name} ({e.strerror or e})") from None
     finally:
-        with contextlib.suppress(OSError):
-            os.remove(lock)
+        if partial is not None:
+            shutil.rmtree(partial, ignore_errors=True)
         if fd is not None:
+            with contextlib.suppress(OSError):
+                os.remove(lock)
             os.close(fd)
+        if made and not moved:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)
 
 
 def _flock(lock, locked):
-    """An open descriptor of the file `lock` holding its exclusive flock; raise
-    `locked` if a live process holds it.  A holder removes the file before it
-    lets go, so a lock taken on a file no longer at `lock` is tried again."""
+    """An open descriptor of the lock file `lock`, held by this process; raise
+    `locked` if another run holds it.  The lock is an ``fcntl.flock``, which
+    the kernel drops when its holder dies, so the file a killed run left
+    behind is taken over.  A holder removes the file before it lets go, so a
+    lock taken on a file no longer at `lock` is tried again.  Where ``fcntl``
+    is missing, the file is created exclusively instead."""
+    if fcntl is None:
+        try:
+            return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            raise locked from None
     while True:
         fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
         try:
@@ -1374,24 +1391,15 @@ _COMMANDS = {
 
 
 def run(subcommand: str, cfg: dict) -> int:
-    """Execute one subcommand with an effective config dict; returns exit code 0."""
+    """Execute one subcommand with an effective config dict; returns exit code 0.
+    The runner computes every artifact before :func:`_write_set` touches the
+    file system, so a run that fails leaves no ``--out``."""
     if subcommand not in _COMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    h = config_hash(cfg)
-    with _output_dir(cfg["out"]) as out:
-        # Artifacts go to a partial directory first and move into place only
-        # once the runner has succeeded, so a failed run leaves no partial set.
-        partial = tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
-        try:
-            artifacts = _COMMANDS[subcommand][0](cfg)
-            artifacts["config.json"] = {k: v for k, v in cfg.items() if k != "out"}
-            for name, artifact in artifacts.items():
-                _write_artifact(os.path.join(partial, name), artifact, h)
-            for name in sorted(artifacts):
-                os.replace(os.path.join(partial, name), os.path.join(out, name))
-            return 0
-        finally:
-            shutil.rmtree(partial, ignore_errors=True)
+    artifacts = _COMMANDS[subcommand][0](cfg)
+    artifacts["config.json"] = {k: v for k, v in cfg.items() if k != "out"}
+    _write_set(cfg["out"], artifacts, config_hash(cfg))
+    return 0
 
 
 def _build_parser():

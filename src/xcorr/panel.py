@@ -336,10 +336,20 @@ class ReturnPanel:
 
 
 def log_returns(p: PricePanel) -> ReturnPanel:
-    """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset."""
+    """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset, taken
+    one row block at a time straight into the result: the bits of
+    ``np.diff(np.log(prices), axis=1)`` with no whole-panel temporary."""
+    x = p.prices
+    out = np.empty((x.shape[0], x.shape[1] - 1))
+
+    def diff(b):
+        y = np.log(x[b])
+        np.subtract(y[:, 1:], y[:, :-1], out=out[b])
+
+    _each_block(diff, x)
     return ReturnPanel(
         assets=p.assets,
-        returns=_frozen(np.diff(np.log(p.prices), axis=1)),
+        returns=_frozen(out),
         standardized=False,
         bars_per_day=p.bars_per_day,
         dt_seconds=p.dt_seconds,

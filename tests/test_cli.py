@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -328,7 +329,7 @@ class TestWideIngest:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert "asset 'B' at bar 1" in err["error"]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unparseable_price_names_line_and_asset(self, tmp_path):
         path = tmp_path / "badprice.csv"
@@ -445,7 +446,7 @@ class TestAssetNames:
          "line 2: asset name '' is empty"),
     ], ids=["wide-comma", "wide-empty", "wide-newline", "wide-cr", "wide-duplicate",
             "long-comma", "long-empty", "panel-trailing", "panel-empty"])
-    def test_remove_exits_1_with_empty_out(self, tmp_path, capsys, fmt, text, message):
+    def test_remove_exits_1_with_no_out(self, tmp_path, capsys, fmt, text, message):
         path = tmp_path / "in.csv"
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -457,7 +458,7 @@ class TestAssetNames:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert err["error"].startswith(message), err["error"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["A,1", "", "B\n", "C\r"])
     def test_export_rejects_name_before_opening_the_file(self, tmp_path, panel_4x64, name):
@@ -633,7 +634,7 @@ class TestMainRemove:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert "N=12, got 13" in err["error"]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_zero_remove_count_is_an_error(self, panel_file, tmp_path, capsys):
         rc = main(["remove", "--input", panel_file, "--remove-count", "0",
@@ -1083,6 +1084,30 @@ class TestReplay:
 
 
 _PANEL = "<panel file>"
+_PANEL40 = "<40-asset panel file>"
+_DIR = "<a directory>"
+_MISSING = "<no such file>"
+# A fault a case injects, named by a marker in its argv.
+_EIO = "<every input read raises EIO>"
+_ENOSPC = "<the spectrum.json write raises ENOSPC>"
+
+
+def _failing(real, when, code):
+    """`real`, but raising OSError(code) when ``when(*args)`` holds."""
+    def wrapper(*args, **kwargs):
+        if when(*args):
+            raise OSError(code, os.strerror(code))
+        return real(*args, **kwargs)
+    return wrapper
+
+
+def _injected(m, fault):
+    """Install `fault` with the monkeypatch `m`."""
+    if fault == _EIO:
+        m.setattr(os, "pread", _failing(os.pread, lambda *a: True, errno.EIO))
+    else:
+        m.setattr(xcorr.cli, "open", _failing(open, lambda path, *a: os.path.basename(path)
+                                              == "spectrum.json", errno.ENOSPC), raising=False)
 
 
 @pytest.mark.parametrize("argv, body, env", [
@@ -1100,22 +1125,93 @@ _PANEL = "<panel file>"
     (["spectrum", "--input", _PANEL, "--preset", "one_factor"], None, None),
     (["spectrum"], None, None),
     (["synth", "--input", _PANEL], None, None),
+    (["spectrum", "--input", _MISSING], None, None),
+    (["spectrum", "--input", _DIR], None, None),
+    (["spectrum", "--input", os.devnull], None, None),
+    (["mfdfa", "--input", _PANEL40, "--modes", "99"], None, None),
+    (["remove", "--input", _PANEL40, "--remove-count", "41"], None, None),
+    (["spectrum", "--input", _PANEL, _EIO], None, None),
+    (["spectrum", "--input", _PANEL, _ENOSPC], None, None),
 ], ids=["unknown-key", "wrong-type", "not-json", "bins", "seed", "env-seed", "q-grid", "scales",
-        "factors", "no-kind", "bars-per-day", "preset-and-input", "no-input", "synth-no-preset"])
-def test_config_only_error_creates_no_out(panel_file, tmp_path, capsys, monkeypatch,
-                                          argv, body, env):
-    """A check that needs only the config fails before --out is created."""
+        "factors", "no-kind", "bars-per-day", "preset-and-input", "no-input", "synth-no-preset",
+        "missing-input", "directory-input", "devnull-input", "modes-above-n",
+        "remove-count-above-n", "input-eio", "write-enospc"])
+def test_failed_run_creates_no_out(panel_file, tmp_path, capsys, monkeypatch, argv, body, env):
+    """A run that fails, on its config, its input, its computation or its
+    writes, exits 1 with a ValueError and leaves no --out."""
     monkeypatch.setattr(xcorr.cli, "preset", _small_preset)
     if env is not None:
         monkeypatch.setenv("XCORR_SEED", env)
-    argv = [panel_file if a == _PANEL else a for a in argv] + ["--out", str(tmp_path / "out")]
+    paths = {_PANEL: panel_file, _DIR: str(tmp_path), _MISSING: str(tmp_path / "missing.csv")}
+    if _PANEL40 in argv:
+        paths[_PANEL40] = str(tmp_path / "panel40.csv")
+        export_panel(generate(MarketModel(n_assets=40, t_length=256, bars_per_day=8,
+                                          market_loading=0.5, seed=3)), paths[_PANEL40])
+    faults = [a for a in argv if a in (_EIO, _ENOSPC)]
+    argv = [paths.get(a, a) for a in argv if a not in faults] + ["--out", str(tmp_path / "out")]
     if body is not None:
         path = tmp_path / "cfg.json"
         path.write_text(body if isinstance(body, str) else json.dumps(body))
         argv += ["--config", str(path)]
-    assert main(argv) == 1
+    with monkeypatch.context() as m:
+        for fault in faults:
+            _injected(m, fault)
+        assert main(argv) == 1
     assert _stderr_json(capsys)["type"] == "ValueError"
     assert not (tmp_path / "out").exists()
+
+
+class TestWriteErrors:
+    """An OSError while the artifacts are written is a ValueError naming --out
+    and the file; the set already in --out is left as it was, and no partial
+    directory or lock file is left."""
+
+    @pytest.mark.parametrize("command, patch, name", [
+        ("spectrum", "open", "spectrum.json"),
+        ("spectrum", "open", "fig2a-analogue.txt"),
+        ("remove", "open", "residual_panel.csv"),
+        ("spectrum", "replace", "config.json"),
+        ("spectrum", "mkdtemp", "a .xcorr-partial-* directory"),
+    ])
+    def test_error_names_out_and_file(self, panel_file, tmp_path, capsys, monkeypatch,
+                                      command, patch, name):
+        out = tmp_path / "out"
+        argv = [command, "--input", panel_file, "--out", str(out)]
+        assert main(argv + ["--seed", "1"]) == 0
+        before = _tree(out)
+        is_name = lambda path, *a: os.path.basename(path) == name  # noqa: E731
+        with monkeypatch.context() as m:
+            if patch == "open":
+                m.setattr(xcorr.cli, "open", _failing(open, is_name, errno.ENOSPC), raising=False)
+            elif patch == "replace":
+                m.setattr(os, "replace", _failing(os.replace, is_name, errno.EIO))
+            else:
+                m.setattr(tempfile, "mkdtemp", _failing(tempfile.mkdtemp, lambda *a: True,
+                                                        errno.ENOSPC))
+            assert main(argv + ["--seed", "2"]) == 1
+        code = errno.EIO if patch == "replace" else errno.ENOSPC
+        assert _stderr_json(capsys) == {
+            "error": f"--out {out}: cannot write {name} ({os.strerror(code)})",
+            "type": "ValueError"}
+        assert _tree(out) == before
+        assert not [n for n in os.listdir(out) if n.startswith(".xcorr-")]
+
+    def test_locked_run_computes_first(self, panel_file, tmp_path, capsys, monkeypatch):
+        # The lock is taken only to write: a second run into a live --out
+        # fails after its runner has returned, and leaves the set as it was.
+        out = tmp_path / "out"
+        argv = ["spectrum", "--input", panel_file, "--out", str(out)]
+        assert main(argv) == 0
+        ran = []
+        runner, help_text = xcorr.cli._COMMANDS["spectrum"]
+        monkeypatch.setitem(xcorr.cli._COMMANDS, "spectrum",
+                            (lambda cfg: ran.append(1) or runner(cfg), help_text))
+        with _holding(out / ".xcorr-lock"):
+            before = _tree(out)
+            assert main(argv + ["--seed", "2"]) == 1
+            assert _tree(out) == before
+        assert ran == [1]
+        assert "is locked by another run" in _stderr_json(capsys)["error"]
 
 
 class TestMainErrors:
@@ -1155,7 +1251,8 @@ class TestMainErrors:
         pid = os.fork()
         if pid == 0:  # takes the lock, starts its artifact set, then waits to be killed
             try:
-                with xcorr.cli._output_dir(str(out)):
+                out.mkdir()
+                with _holding(out / ".xcorr-lock"):
                     tempfile.mkdtemp(prefix=".xcorr-partial-", dir=out)
                     os.write(w, b"x")
                     while True:
@@ -1220,7 +1317,7 @@ class TestMainErrors:
         rc = main(["spectrum", "--input", panel_file, "--out", str(out)])
         assert rc == 1
         assert "disk full" in _stderr_json(capsys)["error"]
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
         (["mfdfa", "--scales", "16:400:100000000000"], "--scales"),
@@ -1264,7 +1361,7 @@ class TestMainErrors:
         assert err["type"] == "ValueError"
         assert err["error"].startswith(f"{path}: line 11: malformed CSV record: ")
         assert "field limit" in err["error"]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("scales, got", [("10,20,40", 3), ("100", 1)])
     def test_short_scale_grid_fails_before_the_run(self, tmp_path, capsys, scales, got):
@@ -1297,7 +1394,7 @@ class TestMainErrors:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert flag in err["error"] and str(path) in err["error"]
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
         if target == "file":
             assert path.read_text() == "keep"
 
@@ -1318,7 +1415,7 @@ class TestMainErrors:
         err = _stderr_json(capsys)
         assert err["type"] == "ValueError"
         assert err["error"] == f"line {line}: non-finite timestamp {token!r}"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["spectrum", "--input", str(tmp_path / "nope.csv"),
@@ -1405,7 +1502,7 @@ def test_fuzzed_argv_exits_cleanly(fuzz_panel_file, argv):
         assert rc == 1, argv
         assert json.loads(err.getvalue().splitlines()[-1])["type"] == "ValueError", \
             (argv, err.getvalue())
-        assert not os.path.exists(out) or os.listdir(out) == [], argv
+        assert not os.path.exists(out), argv
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -8,6 +8,7 @@ bounded in units of that panel.
 
 import contextlib
 import csv
+import errno
 import math
 import os
 import threading
@@ -90,6 +91,10 @@ def _raise(*args, **kwargs):
 
 def _exit(*args, **kwargs):
     os._exit(1)
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
 
 
 def _half_then_exit(real):
@@ -504,6 +509,109 @@ class TestFailedChild:
         assert np.array_equal(ingest(str(tmp_path / "redone.csv"), "panel").returns, r.returns)
 
 
+def _fork_failing_at(k):
+    """An ``os.fork`` whose k-th call raises EAGAIN, and the list of its calls."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(len(calls) + 1)
+        if len(calls) == k:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+    return fork, calls
+
+
+@needs_fork
+class TestForkFails:
+    """A fork that fails (EAGAIN) leaves its part to the caller: the bytes and
+    arrays are the serial path's."""
+
+    CASES = [(1, 1), (3, 1), (3, 2)]  # (helpers, the fork that fails)
+
+    @pytest.mark.parametrize("count, k", CASES)
+    def test_export(self, tmp_path, helpers, monkeypatch, count, k):
+        r = _returns(3, 5000, seed=11)
+        helpers(0)
+        export_panel(r, tmp_path / "serial.csv")
+        helpers(count)
+        fork, calls = _fork_failing_at(k)
+        monkeypatch.setattr(os, "fork", fork)
+        export_panel(r, tmp_path / "forked.csv")
+        assert calls == list(range(1, count + 1))
+        assert _bytes(tmp_path / "forked.csv") == _bytes(tmp_path / "serial.csv")
+
+    @pytest.mark.parametrize("count, k", CASES)
+    def test_panel_read(self, tmp_path, helpers, monkeypatch, count, k):
+        r = _returns(3, 5000, seed=12)
+        export_panel(r, tmp_path / "panel.csv")
+        helpers(count)
+        fork, calls = _fork_failing_at(k)
+        monkeypatch.setattr(os, "fork", fork)
+        back = ingest(str(tmp_path / "panel.csv"), "panel")
+        assert calls == list(range(1, count + 1))
+        assert np.array_equal(back.returns, r.returns)
+
+    @pytest.mark.parametrize("count, k", CASES)
+    def test_wide_read(self, tmp_path, helpers, monkeypatch, count, k):
+        path = tmp_path / "wide.csv"
+        _write_wide(path, 3, 5000, seed=13)
+        helpers(0)
+        with pytest.warns(UserWarning):
+            serial = ingest(str(path), "wide", bars_per_day=7)
+        helpers(count)
+        fork, calls = _fork_failing_at(k)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.warns(UserWarning):
+            forked = ingest(str(path), "wide", bars_per_day=7)
+        assert calls == list(range(1, count + 1))
+        assert forked.assets == serial.assets
+        assert np.array_equal(forked.prices, serial.prices)
+        assert np.array_equal(forked.timestamps, serial.timestamps)
+
+
+class TestReadErrors:
+    """An input read that fails (EIO) is a ValueError naming the file.  Once
+    the data lines are read in parts, every read past three quarters of the
+    file fails: with a helper, the child's part fails, and the caller redoes
+    it and raises."""
+
+    @pytest.mark.parametrize("fmt", ["panel", "wide"])
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_eio_mid_file_names_the_file(self, tmp_path, helpers, monkeypatch, fmt, count):
+        path = tmp_path / f"{fmt}.csv"
+        if fmt == "panel":
+            export_panel(_returns(3, 5000, seed=14), path)
+        else:
+            _write_wide(path, 3, 5000, seed=14)
+        bad_from = os.path.getsize(path) * 3 // 4
+        parent, armed, failed = os.getpid(), [], []
+        real_pread, real_parts = os.pread, cli._text_parts
+
+        def pread(fd, size, pos):
+            if armed and pos + size > bad_from:
+                if os.getpid() == parent:
+                    failed.append(pos)
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_pread(fd, size, pos)
+
+        def parts(*args):
+            armed.append(True)
+            return real_parts(*args)
+
+        monkeypatch.setattr(os, "pread", pread)
+        monkeypatch.setattr(cli, "_text_parts", parts)
+        monkeypatch.setattr(cli, "_READ_CHUNK", 4096)
+        helpers(count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(ValueError) as exc:
+                ingest(str(path), fmt, bars_per_day=7)
+        assert str(exc.value) == f"input file {path}: cannot read it ({os.strerror(errno.EIO)})"
+        # The caller fails once, at the bad offset; with a helper, that lies in
+        # the child's part, which the caller reads only to redo it.
+        assert len(failed) == 1 and bad_from - 4096 < failed[0] <= bad_from
+
+
 def _fd_count():
     return len(os.listdir("/proc/self/fd"))
 
@@ -556,6 +664,30 @@ class TestNoChildOutlivesTheCall:
         with self._one_process(tmp_path):
             with pytest.raises(ValueError, match="^line 16: unparseable value"):
                 ingest(str(path), "panel")
+
+
+    def test_after_an_interrupt_mid_read(self, tmp_path, helpers, monkeypatch):
+        r = _returns(4, 5000, seed=15)
+        export_panel(r, tmp_path / "panel.csv")
+        helpers(3)
+        # The caller is interrupted in its own part, while its children read theirs.
+        monkeypatch.setattr(cli, "_parse_panel_rows",
+                            _in_child(os.getpid(), cli._parse_panel_rows, _interrupt))
+        with self._one_process(tmp_path):
+            with pytest.raises(KeyboardInterrupt):
+                ingest(str(tmp_path / "panel.csv"), "panel")
+
+    def test_interrupted_run_leaves_no_out(self, tmp_path, helpers, monkeypatch):
+        r = _returns(4, 5000, seed=15)
+        export_panel(r, tmp_path / "panel.csv")
+        helpers(3)
+        monkeypatch.setattr(cli, "_parse_panel_rows",
+                            _in_child(os.getpid(), cli._parse_panel_rows, _interrupt))
+        out = tmp_path / "out"
+        with self._one_process(tmp_path):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(["spectrum", "--input", str(tmp_path / "panel.csv"), "--out", str(out)])
+        assert not out.exists()
 
 
 def _fed_through_fifo(tmp_path, data, read):
@@ -881,7 +1013,7 @@ RUN_PEAKS = {
     "remove": (["remove", "--remove-count", "3"], 2.5),
     "shuffle_signs": (["surrogate", "--surrogate-kind", "shuffle_signs"], 2.5),
     "rotate_daily": (["surrogate", "--surrogate-kind", "rotate_daily"], 2.5),
-    "wide": (["spectrum", "--format", "wide"], 3.25),
+    "wide": (["spectrum", "--format", "wide"], 2.5),
 }
 
 

@@ -39,7 +39,7 @@ except ImportError:  # no flock: the lock file is created exclusively instead
 from . import panel as _panel
 from .mfdfa import MfdfaConfig, _geometric_scales, analyze, average_spectra
 from .modes import eigensignals, remove_modes_iterative
-from .panel import PricePanel, ReturnPanel, _frozen, coarsen, log_returns, standardize
+from .panel import PricePanel, ReturnPanel, _frozen, _kept_rows, coarsen, log_returns, standardize
 from .spectrum import (
     correlation_matrix,
     eigendecompose,
@@ -507,11 +507,18 @@ def _panel_values(lines, linenos, n_fields, name_line):
         raise
 
 
+def _plain(text):
+    """`text`, or a ValueError if it holds '_' or inner non-ASCII, which numpy's parser rejects."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(text)
+    return text
+
+
 def _header_number(path, meta, key, default, kind):
     """A positive header value; an int must be whole, a float finite."""
     text = meta.get(key, default)
     try:
-        value = kind(text)
+        value = kind(_plain(text))
         ok = value > 0 and (kind is int or math.isfinite(value))
     except ValueError:
         ok = False
@@ -585,7 +592,7 @@ def _read_panel_csv(path) -> ReturnPanel:
 def _timestamp(token, lineno):
     """A finite timestamp parsed from `token`, or a ValueError naming the line."""
     try:
-        ts = float(token)
+        ts = float(_plain(token))
     except ValueError:
         raise ValueError(f"line {lineno}: unparseable timestamp {token!r}") from None
     if not math.isfinite(ts):
@@ -776,11 +783,10 @@ def _price_rows(timestamps, rows, linenos, assets):
     out = np.empty((len(rows), 1 + len(assets)))
     out[:, 0] = timestamps
     for k, row in enumerate(rows):
-        cells = row.split(",")
-        try:
-            out[k, 1:] = list(map(float, cells))  # float() strips what strip() would
+        try:  # float() strips what strip() would
+            out[k, 1:] = list(map(float, _plain(row).split(",")))
         except ValueError:  # a blank cell, or a bad one: one cell at a time
-            out[k, 1:] = [_price(c, a, linenos[k]) for a, c in zip(assets, cells)]
+            out[k, 1:] = [_price(c, a, linenos[k]) for a, c in zip(assets, row.split(","))]
     return out
 
 
@@ -790,7 +796,7 @@ def _price(cell, asset, lineno):
     if not cell:
         return np.nan
     try:
-        return float(cell)
+        return float(_plain(cell))
     except ValueError:
         raise ValueError(f"line {lineno}: unparseable price {cell!r} for {asset}") from None
 
@@ -836,36 +842,29 @@ def _price_panel(prices, assets, timestamps, bars_per_day):
 
     A gap takes the last price before it (a warning gives the count); an
     asset missing more than 5% of its bars is dropped with a warning.
-    `prices` is the reader's own C-ordered array: it is filled in place and
-    frozen, and the panel takes it without a copy.  When an asset is dropped,
-    the kept rows move down over it and the panel takes the leading rows.
+    `prices` is the reader's own C-ordered array: it is filled in place, and
+    the panel takes its kept rows without a copy.
     """
     n_bars = prices.shape[1]
-    keep = []
+    keep = np.ones(len(assets), dtype=bool)
     for i, name in enumerate(assets):
         missing = int(np.isnan(prices[i]).sum())
         if missing > MISSING_DROP_FRACTION * n_bars:
             warnings.warn(f"asset {name} missing {missing}/{n_bars} bars (> 5%); dropped")
-            continue
-        if missing:
+            keep[i] = False
+        elif missing:
             if np.isnan(prices[i, 0]):
                 raise ValueError(f"asset {name} has no price at the first bar; cannot forward-fill")
             # Each bar takes the price at the last bar up to it that has one.
             last = np.maximum.accumulate(np.where(np.isnan(prices[i]), 0, np.arange(n_bars)))
             prices[i] = prices[i, last]
             warnings.warn(f"asset {name}: forward-filled {missing} missing bar(s)")
-        keep.append(i)
-    if not keep:
+    if not keep.any():
         raise ValueError("all assets dropped during missing-bar handling")
-    if len(keep) < len(assets):
-        for dst, src in enumerate(keep):  # dst <= src: each kept row moves down in place
-            if dst != src:
-                prices[dst] = prices[src]
-        prices = _frozen(prices)[:len(keep)]
     return PricePanel(
-        assets=[assets[i] for i in keep],
+        assets=[a for a, k in zip(assets, keep) if k],
         timestamps=timestamps,
-        prices=_frozen(prices),
+        prices=_kept_rows(prices, keep),
         bars_per_day=bars_per_day,
     )
 
@@ -1067,17 +1066,17 @@ def _write_set(out, artifacts, cfg_hash):
     made if missing, under its lock (see :func:`_flock`), which also lets the
     ``.xcorr-partial-*`` directories of a killed run be removed.  The artifacts
     go into a fresh partial directory, then move into `out` in name order: a
-    failure before the first move leaves `out` as it was, or gone if this call
-    made it.  An OSError is a ValueError naming `out` and the file."""
-    made = not os.path.isdir(out)
+    failure before the first move leaves `out` as it was, less every directory
+    this call made.  An OSError is a ValueError naming `out` and the file."""
+    made, d = [], out  # the directories makedirs makes, deepest first
+    while d and not os.path.isdir(d):
+        made.append(d)
+        d = os.path.dirname(d)
+    lock = os.path.join(out, ".xcorr-lock")
+    name, fd, partial, moved = None, None, None, False
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise ValueError(f"--out {out}: cannot create the output directory "
-                         f"({e.strerror})") from None
-    lock = os.path.join(out, ".xcorr-lock")
-    name, fd, partial, moved = ".xcorr-lock", None, None, False
-    try:
+        name = ".xcorr-lock"
         fd = _flock(lock, ValueError(f"output directory {out} is locked by another run "
                                      f"(remove {lock} if stale)"))
         for stale in os.listdir(out):
@@ -1091,7 +1090,8 @@ def _write_set(out, artifacts, cfg_hash):
             os.replace(os.path.join(partial, name), os.path.join(out, name))
             moved = True
     except OSError as e:
-        raise ValueError(f"--out {out}: cannot write {name} ({e.strerror or e})") from None
+        what = f"write {name}" if name else "create the output directory"
+        raise ValueError(f"--out {out}: cannot {what} ({e.strerror or e})") from None
     finally:
         if partial is not None:
             shutil.rmtree(partial, ignore_errors=True)
@@ -1099,9 +1099,9 @@ def _write_set(out, artifacts, cfg_hash):
             with contextlib.suppress(OSError):
                 os.remove(lock)
             os.close(fd)
-        if made and not moved:
+        for d in [] if moved else made:
             with contextlib.suppress(OSError):
-                os.rmdir(out)
+                os.rmdir(d)
 
 
 def _flock(lock, locked):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _integer, standardize
+from .panel import ReturnPanel, _each_block, _integer, _kept_rows, standardize
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -121,7 +121,7 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
     return out
 
 
-def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
+def _regress_out(r: ReturnPanel, z: Eigensignal, out=None):
     """OLS of each asset row on (1, z); returns re-standardized residual panel
     plus the per-asset coefficients and the names of dropped assets.
 
@@ -133,11 +133,9 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
     scaling to unit variance.  Each element sees the operations of the
     whole-panel expressions, so the bits are theirs.  The drop warnings,
     the all-dropped error and the orthogonality check follow the pass, in
-    asset order.
-
-    With `in_place`, the residuals overwrite ``r.returns``: `r` must be a
-    panel that only the caller holds, whose array the library allocated, and
-    it is not valid after the call.
+    asset order.  The residuals go to `out`'s leading rows (a new array
+    unless given; it may hold ``r.returns``), and the kept rows move down in
+    place.  `out` is writable, owns its data, and only the caller holds it.
     """
     series = z.series
     if series.shape != (r.t_length,):
@@ -152,11 +150,8 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
     m = r.returns
     n = r.n_assets
     betas = (m @ zc) / (zc @ zc)
-    if in_place:
-        resid = m
-        resid.setflags(write=True)
-    else:
-        resid = np.empty_like(m)
+    out = np.empty_like(m) if out is None else out
+    resid = out[:n]
     alphas, res_var, dots = np.empty(n), np.empty(n), np.empty(n)
     t = r.t_length
 
@@ -176,7 +171,8 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
 
     _each_block(regress, m)
     keep = res_var >= RESIDUAL_VAR_TOL
-    for name in np.asarray(r.assets)[~keep]:
+    dropped = [a for a, k in zip(r.assets, keep) if not k]
+    for name in dropped:
         warnings.warn(f"asset {name} perfectly explained by removed mode; dropped")
     if not keep.any():
         raise ValueError("all assets perfectly explained by the removed mode")
@@ -185,14 +181,9 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, in_place=False):
     if dots.max() >= ORTHO_TOL:
         raise ValueError("residuals are not orthogonal to the removed mode within 1e-8")
 
-    out = replace(
-        r,
-        assets=[a for a, k in zip(r.assets, keep) if k],
-        returns=_frozen(resid if keep.all() else resid[keep]),
-        standardized=True,
-    )
-    dropped = [a for a, k in zip(r.assets, keep) if not k]
-    return out, alphas, betas, dropped
+    assets = [a for a, k in zip(r.assets, keep) if k]
+    panel = replace(r, assets=assets, returns=_kept_rows(out, keep), standardized=True)
+    return panel, alphas, betas, dropped
 
 
 def remove_mode(r: ReturnPanel, z: Eigensignal) -> ResidualPanel:
@@ -220,8 +211,8 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
     (sequential reading of repeated removal).  With ``from_original=True`` the
     regressors are the original panel's eigensignals z_1..z_count instead.
     Either way the spectrum of the panel entering each pass is recorded in
-    ``spectra``.  The caller's panel is never written: the first pass
-    allocates the residual array, and every later pass overwrites it.
+    ``spectra``.  The caller's panel is never written: every pass writes its
+    residuals into the one buffer allocated here.
     """
     count = _integer(count, "count")
     if count < 1:
@@ -229,6 +220,7 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
     if count > r.n_assets:
         raise ValueError(f"count must be at most the number of assets N={r.n_assets}, got {count}")
     current = r if r.standardized else standardize(r)
+    resid = np.empty((r.n_assets, r.t_length))
     removed, alphas, betas, pass_assets, dropped, spectra = [], [], [], [], [], []
 
     for p in range(count):
@@ -244,9 +236,8 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
             # with the pass rank so the record reads "modes 1..count removed".
             z = Eigensignal(index=p + 1, series=z.series, eigenvalue=z.eigenvalue)
         pass_assets.append(list(current.assets))
-        # After the first pass, `current` is the last pass's residual panel,
-        # which only this loop holds; rebinding it drops that panel.
-        current, a, b, d = _regress_out(current, z, in_place=p > 0)
+        resid.setflags(write=True)  # the last pass froze it; only this loop holds it
+        current, a, b, d = _regress_out(current, z, resid)
         removed.append(z.index)
         alphas.append(a)
         betas.append(b)

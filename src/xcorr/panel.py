@@ -62,6 +62,16 @@ def _frozen(arr):
     return arr
 
 
+def _kept_rows(owner, keep):
+    """The rows of ``owner[:len(keep)]`` where `keep` holds, moved down in place and
+    frozen: `owner` if all stay, else its leading rows.  `owner` owns its data, unshared."""
+    rows = np.flatnonzero(keep)
+    for dst, src in enumerate(rows):
+        if dst < src:
+            owner[dst] = owner[src]
+    return _frozen(owner) if len(rows) == len(owner) else _frozen(owner)[:len(rows)]
+
+
 def _is_frozen(arr):
     """A read-only float64 ndarray that owns its data, or a read-only view of one."""
     if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.flags.writeable:

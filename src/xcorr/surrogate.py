@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _record, _standardized_rows
+from .panel import ReturnPanel, _each_block, _frozen, _kept_rows, _record, _standardized_rows
 from .synth import _seed, _stream
 
 __all__ = [
@@ -133,8 +133,7 @@ def _replace_rows(r: ReturnPanel, f, what: str) -> ReturnPanel:
     if flat.all():
         raise ValueError(f"every asset has a constant {what} series")
     assets = [a for a, k in zip(r.assets, flat) if not k]
-    rows = rows[~flat] if flat.any() else rows  # a copy only when a row goes
-    return replace(r, assets=assets, returns=_frozen(rows), standardized=True)
+    return replace(r, assets=assets, returns=_kept_rows(rows, ~flat), standardized=True)
 
 
 def signs_only(r: ReturnPanel) -> ReturnPanel:

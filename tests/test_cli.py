@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import xcorr.cli
+import xcorr.mfdfa
 import xcorr.modes
 import xcorr.synth
 from xcorr.cli import export_panel, ingest, main
@@ -422,6 +423,60 @@ class TestLongIngest:
             ingest("/nonexistent/file.csv", "panel")
 
 
+class TestNumberSyntax:
+    """Price files and panel header numbers take the panel reader's number
+    syntax: forms only Python's int() and float() take, such as '1_0' or
+    non-ASCII digits, are errors that name the line or the header."""
+
+    WIDE = "t,A,B\n0,100.0,50.0\n120,{cell},51.0\n{stamp},102.0,52.0\n"
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["byte-range", "csv"])
+    @pytest.mark.parametrize("cell, stamp, message", [
+        ("1_00.4", "240", "line 3: unparseable price '1_00.4' for A"),
+        ("١٠٠.٤", "240", "line 3: unparseable price '١٠٠.٤' for A"),
+        ("101.0", "2_40.0", "line 4: unparseable timestamp '2_40.0'"),
+    ])
+    def test_wide(self, tmp_path, quoted, cell, stamp, message):
+        text = self.WIDE.format(cell=cell, stamp=stamp)
+        path = tmp_path / "wide.csv"
+        path.write_text('"t"' + text[1:] if quoted else text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ingest(str(path), "wide", bars_per_day=1)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["byte-range", "csv"])
+    def test_wide_gaps_and_outer_whitespace_still_read(self, tmp_path, quoted):
+        # numpy's parser strips non-ASCII whitespace too; a blank or nan cell is a gap.
+        text = "t,A,B\n0,100.0,50.0\n120,\u00a0101.0\u2003,\n240,102.0,nan\n360,103.0,53.0\n"
+        path = tmp_path / "wide.csv"
+        path.write_text('"t"' + text[1:] if quoted else text, encoding="utf-8")
+        with pytest.warns(UserWarning, match="asset B missing 2/4 bars"):
+            p = ingest(str(path), "wide", bars_per_day=1)
+        assert p.assets == ["A"] and p.prices.tolist() == [[100.0, 101.0, 102.0, 103.0]]
+
+    @pytest.mark.parametrize("row, message", [
+        ("60,A,1_00.5", "line 3: unparseable price '1_00.5' for A"),
+        ("6_0,A,101", "line 3: unparseable timestamp '6_0'"),
+    ])
+    def test_long(self, tmp_path, row, message):
+        path = tmp_path / "long.csv"
+        path.write_text(f"t,asset,price\n0,A,100\n{row}\n120,A,102\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ingest(str(path), "long", bars_per_day=1)
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("bars_per_day", "1_00", "a positive integer"),
+        ("bars_per_day", "١٠", "a positive integer"),
+        ("dt_seconds", "6_0.0", "a finite positive number"),
+    ])
+    def test_panel_header(self, tmp_path, key, value, what):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"# xcorr-panel-v1\n# {key}: {value}\nbar,A\n0,1.0\n1,2.0\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            ingest(str(path), "panel")
+        assert str(exc.value) == f"{path}: header {key!r} must be {what}, got {value!r}"
+
+
 def _wide_text(header, rows=10):
     return header + "\n" + "".join(
         f"{j * 60},{100 + j},{50 + j}{',7' if header.count(',') == 3 else ''}\n"
@@ -715,6 +770,18 @@ class TestMainMfdfa:
         payload = json.loads((out / "mfdfa.json").read_text())
         assert payload["average"]["q"] == [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
         assert payload["per_mode"][0]["surface"]["scales"] == [16, 32, 64, 128, 256]
+
+    def test_geometric_scales(self, tmp_path, monkeypatch):
+        # A largest scale of 400 needs T >= 1600.
+        monkeypatch.setattr(xcorr.cli, "preset", lambda name, seed=0: xcorr.synth.preset(
+            name, seed=seed, n_assets=6, t_length=2000))
+        out = tmp_path / "out"
+        assert main(["mfdfa", "--preset", "one_factor", "--modes", "2",
+                     "--scales", "16:400:8", "--out", str(out)]) == 0
+        payload = json.loads((out / "mfdfa.json").read_text())
+        want = xcorr.mfdfa._geometric_scales(16, 400, 8).tolist()
+        assert [m["surface"]["scales"] for m in payload["per_mode"]] == [want, want]
+        assert json.loads((out / "config.json").read_text())["scales"] == "16:400:8"
 
     def test_bad_q_grid_is_reported(self, long_panel_file, tmp_path, capsys):
         rc = main(["mfdfa", "--input", long_panel_file, "--q-grid", "0:4:2",
@@ -1196,6 +1263,24 @@ class TestWriteErrors:
         assert _tree(out) == before
         assert not [n for n in os.listdir(out) if n.startswith(".xcorr-")]
 
+    @pytest.mark.parametrize("fault", ["write", "mkdir"])
+    def test_nested_out_leaves_no_directory(self, panel_file, tmp_path, capsys, monkeypatch,
+                                            fault):
+        # --out a/b/c, none of which exists: a failed run removes all three,
+        # whether spectrum.json cannot be written or makedirs stops half way.
+        out = tmp_path / "a" / "b" / "c"
+        with monkeypatch.context() as m:
+            if fault == "write":
+                _injected(m, _ENOSPC)
+            else:
+                m.setattr(os, "mkdir", _failing(os.mkdir, lambda path, *a: str(path) == str(out),
+                                                errno.ENOSPC))
+            assert main(["spectrum", "--input", panel_file, "--out", str(out)]) == 1
+        what = "write spectrum.json" if fault == "write" else "create the output directory"
+        assert _stderr_json(capsys)["error"] == (
+            f"--out {out}: cannot {what} ({os.strerror(errno.ENOSPC)})")
+        assert os.listdir(tmp_path) == ["panel.csv"]
+
     def test_locked_run_computes_first(self, panel_file, tmp_path, capsys, monkeypatch):
         # The lock is taken only to write: a second run into a live --out
         # fails after its runner has returned, and leaves the set as it was.
@@ -1212,6 +1297,35 @@ class TestWriteErrors:
             assert _tree(out) == before
         assert ran == [1]
         assert "is locked by another run" in _stderr_json(capsys)["error"]
+
+
+class TestLockWithoutFcntl:
+    """Where fcntl is missing, the lock is a file created exclusively: a run
+    removes it when done, and one that finds it fails after computing and
+    leaves it, and the set in --out, as they were."""
+
+    def test_run_writes_and_removes_the_lock(self, panel_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(xcorr.cli, "fcntl", None)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--input", panel_file, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["config.json", "fig2a-analogue.txt", "spectrum.json"]
+
+    def test_lock_file_present_fails_after_computing(self, panel_file, tmp_path, capsys,
+                                                     monkeypatch):
+        out = tmp_path / "out"
+        argv = ["spectrum", "--input", panel_file, "--out", str(out)]
+        assert main(argv) == 0
+        (out / ".xcorr-lock").write_text("")
+        before = _tree(out)
+        ran = []
+        runner, help_text = xcorr.cli._COMMANDS["spectrum"]
+        monkeypatch.setitem(xcorr.cli._COMMANDS, "spectrum",
+                            (lambda cfg: ran.append(1) or runner(cfg), help_text))
+        monkeypatch.setattr(xcorr.cli, "fcntl", None)
+        assert main(argv + ["--seed", "2"]) == 1
+        assert ran == [1]
+        assert "is locked by another run" in _stderr_json(capsys)["error"]
+        assert _tree(out) == before
 
 
 class TestMainErrors:

@@ -465,9 +465,13 @@ class TestRegressionScratch:
         resid, res_var, alphas, betas = self.reference(p.returns, z.series)
         assert (res_var >= xcorr.modes.RESIDUAL_VAR_TOL).all()
         monkeypatch.setattr(xcorr.panel, "_HELPERS", helpers)
-        if in_place:
-            p = ReturnPanel(p.assets, xcorr.panel._frozen(p.returns.copy()), True, 100, 60.0)
-        out, a, b, dropped = xcorr.modes._regress_out(p, z, in_place=in_place)
+        buf = None
+        if in_place:  # the residuals overwrite the panel's own buffer, made writable
+            buf = p.returns.copy()
+            p = ReturnPanel(p.assets, xcorr.panel._frozen(buf), True, 100, 60.0)
+            buf.setflags(write=True)
+        out, a, b, dropped = xcorr.modes._regress_out(p, z, buf)
+        assert not in_place or out.returns is buf
         assert dropped == []
         assert np.array_equal(out.returns, resid)
         assert np.array_equal(a, alphas) and np.array_equal(b, betas)

@@ -756,6 +756,25 @@ class TestAllocationPeaks:
         z = _top_signal(s)
         assert peak(lambda: xcorr.modes._regress_out(s, z), s.returns.nbytes) <= 1.25
 
+    # A dropped row costs no copy: the kept rows move down in place.
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_magnitudes_only_dropping_a_row(self, raw, peak, monkeypatch, count):
+        x = raw.returns.copy()
+        x[100] = np.where(np.arange(x.shape[1]) % 2, 1.0, -1.0)  # a constant magnitude
+        r = ReturnPanel(raw.assets, x, False, 1, 60.0)
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", count)
+        ratio = peak(lambda: apply_surrogate(r, SurrogateSpec("magnitudes_only")), x.nbytes)
+        assert ratio <= 1.25
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_remove_mode_dropping_an_asset(self, raw, peak, monkeypatch, count):
+        s = standardize(raw)
+        row = s.returns[100]  # the regressor explains this asset perfectly
+        z = xcorr.modes.Eigensignal(index=1, series=row, eigenvalue=row.var())
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", count)
+        ratio = peak(lambda: remove_mode(s, z), s.returns.nbytes)
+        assert ratio <= 1.45
+
     @pytest.mark.parametrize("from_original", [False, True])
     def test_three_removal_passes_hold_one_residual_buffer(self, raw, peak, from_original):
         s = standardize(raw)

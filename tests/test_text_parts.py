@@ -10,7 +10,9 @@ import contextlib
 import csv
 import errno
 import math
+import io
 import os
+import signal
 import threading
 import warnings
 
@@ -101,6 +103,13 @@ def _half_then_exit(real):
     def write(fd, data):
         real(fd, memoryview(data)[:max(1, len(data) // 2)])
         os._exit(1)
+    return write
+
+
+def _half_then_kill(real):
+    def write(fd, data):
+        real(fd, memoryview(data)[:max(1, len(data) // 2)])
+        os.kill(os.getpid(), signal.SIGKILL)
     return write
 
 
@@ -612,6 +621,53 @@ class TestReadErrors:
         assert len(failed) == 1 and bad_from - 4096 < failed[0] <= bad_from
 
 
+class TestLongReadError:
+    """The long reader, which does not fork, reads its file as text: a read
+    that fails (EIO) half way through is a ValueError naming the file, and a
+    run on it leaves no --out."""
+
+    @pytest.fixture
+    def failing_long(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.csv"
+        with open(path, "w") as fh:
+            fh.write("t,asset,price\n")
+            for j in range(2000):
+                fh.write("".join(f"{j * 60},{a},{100.0 + j % 7 + k}\n"
+                                 for k, a in enumerate("ABC")))
+        bad_from, reads = os.path.getsize(path) // 2, []
+
+        class Failing(io.FileIO):
+            def readinto(self, b):
+                reads.append(self.tell())
+                if self.tell() >= bad_from:
+                    raise OSError(errno.EIO, os.strerror(errno.EIO))
+                return super().readinto(b)
+
+        def fake_open(file, mode="r", **kwargs):
+            if str(file) != str(path):
+                return open(file, mode, **kwargs)
+            return io.TextIOWrapper(io.BufferedReader(Failing(file), 4096), **kwargs)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        yield path
+        # The reads before the bad offset went through.
+        assert reads[0] == 0 and reads[-1] >= bad_from and len(reads) > 2
+
+    def test_names_the_file(self, failing_long):
+        with pytest.raises(ValueError) as exc:
+            ingest(str(failing_long), "long", bars_per_day=1)
+        assert str(exc.value) == (
+            f"input file {failing_long}: cannot read it ({os.strerror(errno.EIO)})")
+
+    def test_run_leaves_no_out(self, failing_long, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--input", str(failing_long), "--format", "long",
+                         "--bars-per-day", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f'{{"error": "input file {failing_long}: cannot read it')
+        assert not out.exists()
+
+
 def _fd_count():
     return len(os.listdir("/proc/self/fd"))
 
@@ -676,6 +732,44 @@ class TestNoChildOutlivesTheCall:
         with self._one_process(tmp_path):
             with pytest.raises(KeyboardInterrupt):
                 ingest(str(tmp_path / "panel.csv"), "panel")
+
+    @pytest.mark.parametrize("fmt", ["panel", "wide"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_after_a_child_killed_mid_send(self, tmp_path, helpers, monkeypatch, fmt, count):
+        # Each child sends half its rows, then dies of SIGKILL: the caller
+        # redoes every child's part.
+        path = tmp_path / f"{fmt}.csv"
+        if fmt == "panel":
+            export_panel(_returns(4, 5000, seed=16), path)
+        else:
+            _write_wide(path, 4, 5000, seed=16)
+        read = lambda: ingest(str(path), fmt, bars_per_day=7)  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            helpers(0)
+            serial = read()
+            helpers(count)
+            statuses, real_waitpid = [], os.waitpid
+
+            def waitpid(pid, options):
+                got = real_waitpid(pid, options)
+                statuses.append(got[1])
+                return got
+
+            monkeypatch.setattr(os, "write", _in_child(os.getpid(), _half_then_kill(os.write),
+                                                       os.write))
+            monkeypatch.setattr(os, "waitpid", waitpid)
+            with self._one_process(tmp_path):
+                redone = read()
+        assert len(statuses) == count
+        assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+                   for status in statuses)
+        if fmt == "panel":
+            assert np.array_equal(redone.returns, serial.returns)
+        else:
+            assert redone.assets == serial.assets
+            assert np.array_equal(redone.prices, serial.prices)
+            assert np.array_equal(redone.timestamps, serial.timestamps)
 
     def test_interrupted_run_leaves_no_out(self, tmp_path, helpers, monkeypatch):
         r = _returns(4, 5000, seed=15)

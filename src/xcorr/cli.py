@@ -27,6 +27,7 @@ import stat
 import sys
 import tempfile
 import warnings
+from array import array
 from typing import NamedTuple
 
 import numpy as np
@@ -514,6 +515,21 @@ def _plain(text):
     return text
 
 
+def _number(kind):
+    """A flag's text as `kind` (int or float) under :func:`_plain`; the parser
+    is named after `kind`, as argparse's error ("invalid int value") reads it."""
+    def parse(text):
+        return kind(_plain(text))
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _items(text, sep, kind):
+    """The `sep`-separated numbers of a list flag's text, each read by
+    :func:`_number`; a blank item is a ValueError."""
+    return list(map(_number(kind), text.split(sep)))
+
+
 def _header_number(path, meta, key, default, kind):
     """A positive header value; an int must be whole, a float finite."""
     text = meta.get(key, default)
@@ -663,7 +679,7 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
     if not sum(map(len, pieces)):
         raise ValueError(f"no data rows in {path}")
     timestamps, prices = _columns(pieces, (0, 1), (1, 1 + len(assets)))
-    return _price_panel(prices, assets, timestamps[0], bars_per_day)
+    return _price_panel(prices, assets, _frozen(timestamps)[0], bars_per_day)
 
 
 def _wide_assets(header, lineno):
@@ -802,7 +818,11 @@ def _price(cell, asset, lineno):
 
 
 def _read_long_csv(path, bars_per_day) -> PricePanel:
-    records = []
+    """A long price CSV file as a PricePanel.  Each record goes into four typed
+    columns (timestamp, asset row, price, line), not into an object of its own.
+    One stable sort of the (asset, bar) cells finds the first duplicate: of the
+    second and later occurrences of a cell, the one on the earliest line."""
+    stamps, rows, prices, lines = array("d"), array("q"), array("d"), array("q")
     asset_index = {}  # asset name -> row, in order of first appearance
     stop = None  # the first bad line's error, raised after the records before it
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
@@ -816,25 +836,30 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
                 if asset not in asset_index:
                     _check_names([asset], f"line {lineno}")
                     asset_index[asset] = len(asset_index)
-                records.append((ts, asset, _price(row[2], asset, lineno), lineno))
+                prices.append(_price(row[2], asset, lineno))
+                stamps.append(ts)
+                rows.append(asset_index[asset])
+                lines.append(lineno)
         except ValueError as exc:
             stop = exc
 
-    grid = sorted({ts for ts, _, _, _ in records})
-    grid_index = {ts: i for i, ts in enumerate(grid)}
-    prices = np.full((len(asset_index), len(grid)), np.nan)
-    filled = np.zeros(prices.shape, dtype=bool)
-    for ts, asset, price, lineno in records:
-        i, j = asset_index[asset], grid_index[ts]
-        if filled[i, j]:
-            raise ValueError(f"line {lineno}: duplicate (timestamp, asset) = ({ts}, {asset})")
-        filled[i, j] = True
-        prices[i, j] = price
+    grid, bar = np.unique(np.frombuffer(stamps), return_inverse=True)
+    asset_row = np.frombuffer(rows, dtype=np.int64)
+    cells = asset_row * len(grid) + bar
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    repeats = order[1:][cells[1:] == cells[:-1]]
+    if repeats.size:
+        k = repeats.min()
+        raise ValueError(f"line {lines[k]}: duplicate (timestamp, asset) = "
+                         f"({stamps[k]}, {list(asset_index)[rows[k]]})")
     if stop is not None:
         raise stop
-    if not records:
+    if not stamps:
         raise ValueError(f"no data rows in {path}")
-    return _price_panel(prices, list(asset_index), grid, bars_per_day)
+    out = np.full((len(asset_index), len(grid)), np.nan)
+    out[asset_row, bar] = np.frombuffer(prices)
+    return _price_panel(out, list(asset_index), _frozen(grid), bars_per_day)
 
 
 def _price_panel(prices, assets, timestamps, bars_per_day):
@@ -1003,7 +1028,7 @@ def _effective_config(args) -> dict:
     if cfg["seed"] is None:
         env = os.environ.get("XCORR_SEED", "0")
         try:
-            cfg["seed"] = int(env)
+            cfg["seed"] = int(_plain(env))
         except ValueError:
             raise ValueError(f"XCORR_SEED must be an integer, got {env!r}") from None
         _check_bounds("seed", cfg["seed"], "XCORR_SEED")
@@ -1144,7 +1169,7 @@ def _load_panel(cfg) -> ReturnPanel:
 
 def _parse_q_grid(text) -> np.ndarray:
     try:
-        lo, hi, step = (float(x) for x in text.split(":"))
+        lo, hi, step = _items(text, ":", float)
     except ValueError:
         raise ValueError(f"--q-grid must be 'min:max:step', got {text!r}") from None
     if not (np.isfinite([lo, hi, step]).all() and step > 0 and hi > lo):
@@ -1168,7 +1193,7 @@ def _parse_q_grid(text) -> np.ndarray:
 
 def _parse_factors(text) -> list:
     try:
-        factors = [int(x) for x in text.split(",") if x.strip()]
+        factors = _items(text, ",", int)
     except ValueError:
         factors = []
     if not factors or min(factors) < 1:
@@ -1181,7 +1206,7 @@ def _parse_scales(text):
         return None
     geometric = ":" in text
     try:
-        numbers = [int(x) for x in text.split(":" if geometric else ",")]
+        numbers = _items(text, ":" if geometric else ",", int)
     except ValueError:
         numbers = []
     if not numbers or (geometric and len(numbers) != 3) or not all(0 < x < 2**62 for x in numbers):
@@ -1190,6 +1215,8 @@ def _parse_scales(text):
     if not geometric:
         return np.array(sorted(set(numbers)))
     lo, hi, count = numbers
+    if lo >= hi:
+        raise ValueError(f"--scales 'min:max:count' needs min < max, got {text!r}")
     if count > _MAX_SCALES:
         raise ValueError(
             f"--scales {text!r} asks for {count} scales; at most {_MAX_SCALES} are allowed"
@@ -1420,7 +1447,8 @@ def _build_parser():
             if f.type is bool:
                 kwargs = {"action": "store_const", "const": True}
             else:
-                kwargs = {"type": f.type, "choices": f.choices}
+                kwargs = {"type": _number(f.type) if f.type in (int, float) else f.type,
+                          "choices": f.choices}
             shown = f.default is not None and f.type is not bool
             p.add_argument(_flag_name(key), dest=key, **kwargs,
                            help=f"{f.help} (default {f.default})" if shown else f.help)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _each, _integer, _real, _record
+from .panel import _as_array, _each, _frozen, _integer, _real, _record
 
 __all__ = [
     "MfdfaConfig",
@@ -56,7 +56,17 @@ def default_scales(n_length: int, min_scale: int = 16, n_scales: int = 20) -> np
 
 def _geometric_scales(lo, hi, count) -> np.ndarray:
     """The distinct integers nearest `count` geometrically spaced points from lo to hi."""
-    return np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
+    return _frozen(np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int)))
+
+
+def _whole(values, name):
+    """`values` as a read-only int array (see :func:`xcorr.panel._as_array`), or
+    a ValueError naming `name` if one is not a whole number: a cast would
+    truncate it."""
+    whole = _as_array(values, name)
+    if not (np.isfinite(whole) & (whole == np.trunc(whole))).all():
+        raise ValueError(f"{name} must hold whole segment lengths, got {whole.tolist()}")
+    return _as_array(values, name, int)
 
 
 @dataclass
@@ -72,7 +82,7 @@ class MfdfaConfig:
     scale_grid: np.ndarray = None
 
     def __post_init__(self):
-        q = np.array(self.q_grid, dtype=float)
+        self.q_grid = q = _as_array(self.q_grid, "q_grid")
         if q.ndim != 1 or q.size < 5:
             raise ValueError("q_grid must be a 1-D array of at least 5 moments")
         if not np.isfinite(q).all():
@@ -89,16 +99,9 @@ class MfdfaConfig:
         if self.detrend_order < 1:
             raise ValueError("detrend_order must be a positive integer")
         if self.scale_grid is not None:
-            s = np.array(self.scale_grid)
+            self.scale_grid = s = _whole(self.scale_grid, "scale_grid")
             if s.ndim != 1:
                 raise ValueError("scale_grid must be a 1-D array of segment lengths")
-            if s.dtype.kind not in "iu":
-                whole = np.array(s, dtype=float)
-                if not (np.isfinite(whole) & (whole == np.trunc(whole))).all():
-                    raise ValueError(
-                        f"scale_grid must hold whole segment lengths, got {s.tolist()}"
-                    )
-            s = s.astype(int)
             if s.size < 5:
                 raise ValueError(f"need at least 5 scales to fit h(q), got {s.size}")
             if (np.diff(s) <= 0).any():
@@ -108,8 +111,6 @@ class MfdfaConfig:
                     f"minimum scale {s[0]} must be >= detrend_order + 2 "
                     f"= {self.detrend_order + 2} for an over-determined fit"
                 )
-            self.scale_grid = s
-        self.q_grid = q
 
     def resolved_scales(self, n_length: int) -> np.ndarray:
         scales = self.scale_grid if self.scale_grid is not None else default_scales(n_length)
@@ -142,8 +143,10 @@ class FluctuationSurface:
     fit_residual: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(self.q_grid), len(self.scales)):
+        self.q_grid = _as_array(self.q_grid, "q_grid")
+        self.scales = _whole(self.scales, "scales")
+        self.values = v = _as_array(self.values, "values")
+        if v.shape != (self.q_grid.size, self.scales.size):
             raise ValueError("surface shape must be (len(q_grid), len(scales))")
         if v.shape[1] < 2:
             raise ValueError(f"need at least 2 scales to fit h(q), got {v.shape[1]}")
@@ -151,13 +154,12 @@ class FluctuationSurface:
             raise ValueError("fluctuation surface must be finite and positive")
         if (np.diff(v, axis=0) < -1e-9 * v[:-1]).any():
             raise ValueError("F_q(n) must be non-decreasing in q for each scale")
-        self.values = v
-        ln_n = np.log(np.asarray(self.scales, dtype=float))
+        ln_n = np.log(self.scales)
         design = np.column_stack([ln_n, np.ones_like(ln_n)])
         ln_f = np.log(v).T
-        coef, _, _, _ = np.linalg.lstsq(design, ln_f, rcond=None)
+        coef = _frozen(np.linalg.lstsq(design, ln_f, rcond=None)[0])
         self.h = coef[0]
-        self.fit_residual = np.sqrt(np.mean((ln_f - design @ coef) ** 2, axis=0))
+        self.fit_residual = _frozen(np.sqrt(np.mean((ln_f - design @ coef) ** 2, axis=0)))
 
     to_dict = _record
 
@@ -183,8 +185,9 @@ class SingularitySpectrum:
     f_within_bound: bool = field(init=False)
 
     def __post_init__(self):
-        n = len(self.q)
-        if not (len(self.h) == len(self.alpha) == len(self.f) == n):
+        for name in ("q", "h", "alpha", "f"):
+            setattr(self, name, _as_array(getattr(self, name), name))
+        if not self.q.size == self.h.size == self.alpha.size == self.f.size:
             raise ValueError("q, h, alpha, f must have equal length")
         self.width = float(self.alpha.max() - self.alpha.min())
         self.alpha_monotone = bool((np.diff(self.alpha) <= ALPHA_TOL).all())
@@ -295,7 +298,7 @@ def fluctuation_surface(x, cfg: MfdfaConfig = None) -> FluctuationSurface:
     values = np.column_stack(
         _each(lambda n: fluctuation(segment_variances(y, n, l), q), [int(n) for n in scales])
     )
-    return FluctuationSurface(q_grid=cfg.q_grid.copy(), scales=scales.copy(), values=values)
+    return FluctuationSurface(q_grid=cfg.q_grid, scales=scales, values=_frozen(values))
 
 
 def singularity_spectrum(h, q_grid) -> SingularitySpectrum:
@@ -303,8 +306,8 @@ def singularity_spectrum(h, q_grid) -> SingularitySpectrum:
 
     h'(q) uses central finite differences, one-sided at the grid ends.
     """
-    h = np.asarray(h, dtype=float)
-    q = np.asarray(q_grid, dtype=float)
+    h = _as_array(h, "h")
+    q = _as_array(q_grid, "q_grid")
     if h.size != q.size:
         raise ValueError("h and q_grid must have equal length")
     if h.size < 5:
@@ -312,7 +315,7 @@ def singularity_spectrum(h, q_grid) -> SingularitySpectrum:
     dh = np.gradient(h, q)
     alpha = h + q * dh
     f = q * (alpha - h) + 1.0
-    spec = SingularitySpectrum(q=q.copy(), h=h.copy(), alpha=alpha, f=f)
+    spec = SingularitySpectrum(q=q, h=h, alpha=_frozen(alpha), f=_frozen(f))
     if not spec.alpha_monotone:
         warnings.warn(
             "alpha(q) is not monotone non-increasing; the h(q) fit is noisy "
@@ -344,14 +347,16 @@ def average_spectra(spectra) -> SingularitySpectrum:
     spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum to average")
+    if not all(isinstance(s, SingularitySpectrum) for s in spectra):
+        raise ValueError(f"spectra must be SingularitySpectrum records, got {spectra!r}")
     q = spectra[0].q
     for s in spectra[1:]:
         if s.q.shape != q.shape or not np.allclose(s.q, q):
             raise ValueError("all spectra must share the same q grid")
-    h = np.mean([s.h for s in spectra], axis=0)
-    alpha = np.mean([s.alpha for s in spectra], axis=0)
-    f = np.mean([s.f for s in spectra], axis=0)
-    return SingularitySpectrum(q=q.copy(), h=h, alpha=alpha, f=f)
+    h = _frozen(np.mean([s.h for s in spectra], axis=0))
+    alpha = _frozen(np.mean([s.alpha for s in spectra], axis=0))
+    f = _frozen(np.mean([s.f for s in spectra], axis=0))
+    return SingularitySpectrum(q=q, h=h, alpha=alpha, f=f)
 
 
 def binomial_cascade(p: float, n_levels: int) -> np.ndarray:

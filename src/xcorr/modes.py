@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _integer, _kept_rows, standardize
+from .panel import (ReturnPanel, _as_array, _each_block, _frozen, _integer, _kept_rows, _real,
+                    standardize)
 from .spectrum import EigenSpectrum, correlation_matrix, eigendecompose
 
 __all__ = [
@@ -38,13 +39,14 @@ class Eigensignal:
     eigenvalue: float
 
     def __post_init__(self):
-        s = np.array(self.series, dtype=float)
+        self.series = s = _as_array(self.series, "series")
         if s.ndim != 1:
             raise ValueError("eigensignal series must be one-dimensional")
+        self.index = _integer(self.index, "index")
         if self.index < 1:
             raise ValueError("eigensignal index is 1-based and must be >= 1")
         var = s.var()
-        lam = float(self.eigenvalue)
+        self.eigenvalue = lam = _real(self.eigenvalue, "eigenvalue")
         if lam > 1e-10:
             if abs(var - lam) / lam >= RISK_TOL:
                 raise ValueError(
@@ -53,9 +55,6 @@ class Eigensignal:
                 )
         elif var >= 1e-8:
             raise ValueError(f"mode {self.index} has near-zero eigenvalue but variance {var!r}")
-        s.setflags(write=False)
-        self.series = s
-        self.eigenvalue = lam
 
 
 @dataclass
@@ -83,6 +82,8 @@ class ResidualPanel:
         lengths = (len(self.alphas), len(self.betas), len(self.pass_assets), len(self.spectra))
         if any(n != n_pass for n in lengths):
             raise ValueError("per-pass bookkeeping lists must have equal length")
+        self.alphas = [_as_array(a, "alphas") for a in self.alphas]
+        self.betas = [_as_array(b, "betas") for b in self.betas]
 
     def to_dict(self):
         passes = []
@@ -91,8 +92,8 @@ class ResidualPanel:
                 {
                     "mode": m,
                     "assets": list(names),
-                    "alphas": np.asarray(a).tolist(),
-                    "betas": np.asarray(b).tolist(),
+                    "alphas": a.tolist(),
+                    "betas": b.tolist(),
                 }
             )
         return {
@@ -117,7 +118,7 @@ def eigensignals(r: ReturnPanel, s: EigenSpectrum, indices) -> list:
         if not 1 <= i <= s.n_series:
             raise ValueError(f"mode index {i} outside 1..{s.n_series}")
         z = s.eigenvectors[:, i - 1] @ r.returns
-        out.append(Eigensignal(index=i, series=z, eigenvalue=float(s.eigenvalues[i - 1])))
+        out.append(Eigensignal(index=i, series=_frozen(z), eigenvalue=float(s.eigenvalues[i - 1])))
     return out
 
 
@@ -183,7 +184,7 @@ def _regress_out(r: ReturnPanel, z: Eigensignal, out=None):
 
     assets = [a for a, k in zip(r.assets, keep) if k]
     panel = replace(r, assets=assets, returns=_kept_rows(out, keep), standardized=True)
-    return panel, alphas, betas, dropped
+    return panel, _frozen(alphas), _frozen(betas), dropped
 
 
 def remove_mode(r: ReturnPanel, z: Eigensignal) -> ResidualPanel:

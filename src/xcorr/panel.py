@@ -56,8 +56,8 @@ def _record(obj):
 
 
 def _frozen(arr):
-    """Mark an array the library has just computed read-only, so a panel takes it
-    without a copy; the caller must keep no writable alias of it."""
+    """Mark an array the library has just computed read-only, so a record takes
+    it without a copy; the caller must keep no writable alias of it."""
     arr.setflags(write=False)
     return arr
 
@@ -72,30 +72,34 @@ def _kept_rows(owner, keep):
     return _frozen(owner) if len(rows) == len(owner) else _frozen(owner)[:len(rows)]
 
 
-def _is_frozen(arr):
-    """A read-only float64 ndarray that owns its data, or a read-only view of one."""
-    if type(arr) is not np.ndarray or arr.dtype != np.float64 or arr.flags.writeable:
+def _is_frozen(arr, dtype=float):
+    """A read-only `dtype` ndarray that owns its data, or a read-only view of one."""
+    if type(arr) is not np.ndarray or arr.dtype != dtype or arr.flags.writeable:
         return False
-    return arr.base is None or _is_frozen(arr.base)
+    return arr.base is None or _is_frozen(arr.base, dtype)
 
 
-def _as_matrix(values, name):
-    """The values as a read-only, C-ordered float array.
+def _as_array(values, name, dtype=float):
+    """The values as a read-only, C-ordered `dtype` array: the one way a record
+    takes an array.
 
     A frozen C-contiguous array (see :func:`_is_frozen`; :func:`_frozen`
     leaves one) is taken as it is: nothing else can write to it.  Anything
-    else is copied into C order, and the copy is frozen.
+    else is copied once into C order, and the copy is frozen.
     """
-    if _is_frozen(values) and values.flags.c_contiguous:
-        arr = values
-    else:
-        try:
-            arr = np.array(values, dtype=float, order="C")
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{name} has ragged rows or non-numeric entries: {exc}") from None
+    if _is_frozen(values, dtype) and values.flags.c_contiguous:
+        return values
+    try:
+        return _frozen(np.array(values, dtype=dtype, order="C"))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
+def _as_matrix(values, name):
+    """:func:`_as_array` of a two-dimensional field."""
+    arr = _as_array(values, name)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -237,9 +241,7 @@ class PricePanel:
     def __post_init__(self):
         self.assets = [str(a) for a in self.assets]
         self.prices = _as_matrix(self.prices, "prices")
-        ts = np.array(self.timestamps, dtype=float)
-        ts.setflags(write=False)
-        self.timestamps = ts
+        self.timestamps = ts = _as_array(self.timestamps, "timestamps")
         n, n_bars = self.prices.shape
         if len(self.assets) != n:
             raise ValueError(f"{len(self.assets)} asset labels for {n} price rows")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each, _integer, _real, _record, standardize
+from .panel import ReturnPanel, _as_array, _each, _frozen, _integer, _real, _record, standardize
 
 __all__ = [
     "CorrelationMatrix",
@@ -43,7 +43,7 @@ class CorrelationMatrix:
     t_length: int
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        self.values = v = _as_array(self.values, "values")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {v.shape}")
         if np.abs(v - v.T).max() >= SYM_TOL:
@@ -56,8 +56,6 @@ class CorrelationMatrix:
             raise ValueError("trace must equal N within 1e-8")
         if self.t_length < 2:
             raise ValueError("t_length must be at least 2")
-        v.setflags(write=False)
-        self.values = v
 
     @property
     def n_series(self):
@@ -82,8 +80,8 @@ class EigenSpectrum:
     source_q: float
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float)
-        vecs = np.array(self.eigenvectors, dtype=float)
+        self.eigenvalues = vals = _as_array(self.eigenvalues, "eigenvalues")
+        self.eigenvectors = vecs = _as_array(self.eigenvectors, "eigenvectors")
         n = vals.size
         if vecs.shape != (n, n):
             raise ValueError("eigenvector matrix must be N x N")
@@ -95,13 +93,9 @@ class EigenSpectrum:
         lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
         if (lead < 0).any():
             raise ValueError("sign convention violated: leading component must be positive")
+        self.source_q = _real(self.source_q, "source_q")
         if not self.source_q > 0:
             raise ValueError("source_q must be positive")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        self.eigenvalues = vals
-        self.eigenvectors = vecs
-        self.source_q = float(self.source_q)
 
     @property
     def n_series(self):
@@ -155,6 +149,8 @@ class ElementDistribution:
     n_entries: int
 
     def __post_init__(self):
+        self.bin_edges = _as_array(self.bin_edges, "bin_edges")
+        self.densities = _as_array(self.densities, "densities")
         self.degenerate = bool(self.gaussian_sigma == 0.0)
 
     to_dict = _record
@@ -195,7 +191,7 @@ def correlation_matrix(r: ReturnPanel) -> CorrelationMatrix:
     d = np.sqrt(np.diag(c))
     c = c / np.outer(d, d)
     np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(values=c, t_length=r.t_length)
+    return CorrelationMatrix(values=_frozen(c), t_length=r.t_length)
 
 
 def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
@@ -206,7 +202,7 @@ def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
     n = vals.size
     lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(n)]
     vecs[:, lead < 0] *= -1.0
-    spectrum = EigenSpectrum(eigenvalues=vals, eigenvectors=vecs, source_q=c.q)
+    spectrum = EigenSpectrum(eigenvalues=_frozen(vals), eigenvectors=_frozen(vecs), source_q=c.q)
     recon = (vecs * vals) @ vecs.T
     if np.abs(recon - c.values).max() >= 1e-8:
         raise ValueError("eigendecomposition failed to reconstruct the matrix within 1e-8")
@@ -235,7 +231,7 @@ def _bin_count(n_bins):
 
 
 def _distribution_from_entries(entries: np.ndarray, n_bins: int) -> ElementDistribution:
-    densities, edges = np.histogram(entries, bins=n_bins, density=True)
+    densities, edges = map(_frozen, np.histogram(entries, bins=n_bins, density=True))
     mu = float(entries.mean())
     sigma = float(entries.std())
     tail = float("nan")

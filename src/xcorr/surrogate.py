@@ -148,6 +148,8 @@ def magnitudes_only(r: ReturnPanel) -> ReturnPanel:
 
 def apply_surrogate(r: ReturnPanel, spec: SurrogateSpec) -> ReturnPanel:
     """Dispatch on spec.kind; the single entry point used by the CLI."""
+    if not isinstance(spec, SurrogateSpec):
+        raise ValueError(f"spec must be a SurrogateSpec, got {spec!r}")
     if spec.kind == "rotate_free":
         return rotate_free(r, spec.seed)
     if spec.kind == "rotate_daily":

@@ -9,11 +9,12 @@ whose structure is known by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _integer, _real, _record, _standardized_rows
+from .panel import (ReturnPanel, _as_array, _each_block, _frozen, _integer, _real, _record,
+                    _standardized_rows)
 
 __all__ = [
     "MarketModel",
@@ -92,15 +93,13 @@ class MarketModel:
                 f"sector members ({total}) exceed n_assets ({self.n_assets})"
             )
         if self.intraday_profile is not None:
-            u = np.array(self.intraday_profile, dtype=float)
+            self.intraday_profile = u = _as_array(self.intraday_profile, "intraday_profile")
             if u.shape != (self.bars_per_day,):
                 raise ValueError("intraday_profile must have length bars_per_day")
             if not ((u > 0) & (u < np.inf)).all():
                 raise ValueError("intraday_profile must be finite and strictly positive")
             if abs(np.log(u).mean()) > 1e-8:
                 raise ValueError("intraday_profile must have unit geometric mean")
-            u.setflags(write=False)
-            self.intraday_profile = u
         if self.vol_clustering is not None:
             try:
                 a, vol_of_vol = self.vol_clustering
@@ -263,10 +262,11 @@ def burst_profile(bars_per_day: int, n_burst: int, level: float) -> np.ndarray:
     The first and last n_burst/2 bars of the day run at `level` times the quiet
     bars' activity before normalization.
     """
-    if not 0 < n_burst < bars_per_day:
+    bars_per_day = _integer(bars_per_day, "bars_per_day")
+    if not 0 < _integer(n_burst, "n_burst") < bars_per_day:
         raise ValueError("n_burst must be in (0, bars_per_day)")
-    if level <= 0:
-        raise ValueError("level must be positive")
+    if not 0 < _real(level, "level") < math.inf:
+        raise ValueError(f"level must be finite and positive, got {level!r}")
     u = np.ones(bars_per_day)
     head = n_burst // 2 + n_burst % 2
     tail = n_burst // 2
@@ -314,9 +314,12 @@ def preset(name: str, seed: int = 0, **overrides) -> MarketModel:
         cfg = dict(
             _BASE,
             market_loading=_RHO_018_LOADING,
-            intraday_profile=burst_profile(_BASE["bars_per_day"], 10, 6.0),
+            intraday_profile=_frozen(burst_profile(_BASE["bars_per_day"], 10, 6.0)),
         )
     else:
         raise ValueError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    unknown = sorted(set(overrides) - {f.name for f in fields(MarketModel)})
+    if unknown:
+        raise ValueError(f"unknown MarketModel field(s) {unknown} for preset {name!r}")
     cfg.update(overrides)
     return MarketModel(seed=seed, **cfg)

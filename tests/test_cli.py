@@ -367,6 +367,21 @@ class TestLongIngest:
         with pytest.raises(ValueError, match="line 3.*duplicate"):
             ingest(str(path), "long", bars_per_day=1)
 
+    @pytest.mark.parametrize("rows, message", [
+        # (60, B) repeats on line 6, but (0, A) already on line 5.
+        ("60,B,1\n0,A,1\n60,A,2\n0,A,3\n60,B,4\n0,B,5\n",
+         "line 5: duplicate (timestamp, asset) = (0.0, A)"),
+        ("0,A,1\n60,A,2\n0,A,3\n0,A,4\n", "line 4: duplicate (timestamp, asset) = (0.0, A)"),
+        ("0,A,1\n0,A,2\nx,A,3\n", "line 3: duplicate (timestamp, asset) = (0.0, A)"),
+        ("0,A,1\nx,A,2\n0,A,3\n", "line 3: unparseable timestamp 'x'"),
+    ], ids=["earliest-repeat", "third-occurrence", "before-a-bad-line", "after-a-bad-line"])
+    def test_first_duplicate_or_bad_line_is_reported(self, tmp_path, rows, message):
+        path = tmp_path / "dup.csv"
+        path.write_text("t,asset,price\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            ingest(str(path), "long", bars_per_day=1)
+        assert str(exc.value) == message
+
     def test_missing_combination_forward_filled(self, tmp_path):
         lines = ["t,asset,price"]
         for j in range(21):
@@ -475,6 +490,91 @@ class TestNumberSyntax:
         with pytest.raises(ValueError) as exc:
             ingest(str(path), "panel")
         assert str(exc.value) == f"{path}: header {key!r} must be {what}, got {value!r}"
+
+
+class TestFlagNumberSyntax:
+    """Flags, list flags, XCORR_SEED and config-file strings take the file
+    readers' number syntax too: '1_0' or non-ASCII digits are errors naming
+    the flag, a list item may not be blank, and a run that fails leaves no
+    --out."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["elements", "--bins", "5_0"], "argument --bins: invalid int value: '5_0'"),
+        (["mfdfa", "--detrend-order", "1_0"],
+         "argument --detrend-order: invalid int value: '1_0'"),
+        (["elements", "--q-target", "2_0"], "argument --q-target: invalid float value: '2_0'"),
+        (["spectrum", "--seed", "١٧"], "argument --seed: invalid int value: '١٧'"),
+    ], ids=["bins", "detrend-order", "q-target", "seed"])
+    def test_number_flag_exits_2(self, panel_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", panel_file, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, env, flag", [
+        (["spectrum"], "1_7", "XCORR_SEED must be an integer, got '1_7'"),
+        (["report", "--factors", "1_0"], None, "--factors"),
+        (["report", "--factors", "1,,2,"], None, "--factors"),
+        (["report", "--factors", "1,2,"], None, "--factors"),
+        (["mfdfa", "--q-grid=-4:4:0_2"], None, "--q-grid"),
+        (["mfdfa", "--q-grid=-4::4:0.2"], None, "--q-grid"),
+        (["mfdfa", "--scales", "١٦,32,64,128,256"], None, "--scales"),
+        (["mfdfa", "--scales", "1_6:400:8"], None, "--scales"),
+        (["mfdfa", "--scales", "16,32,64,128,256,"], None, "--scales"),
+        (["mfdfa", "--scales", "400:16:8"], None,
+         "--scales 'min:max:count' needs min < max, got '400:16:8'"),
+        (["mfdfa", "--scales", "16:16:8"], None, "--scales"),
+    ], ids=["env-seed", "factors", "factors-blank", "factors-trailing", "q-grid",
+            "q-grid-blank", "scales-digits", "scales-underscore", "scales-trailing",
+            "scales-reversed", "scales-equal"])
+    def test_list_flag_or_env_is_a_named_error(self, panel_file, tmp_path, monkeypatch, capsys,
+                                               argv, env, flag):
+        if env is not None:
+            monkeypatch.setenv("XCORR_SEED", env)
+        out = tmp_path / "out"
+        assert main([*argv, "--input", panel_file, "--out", str(out)]) == 1
+        err = _stderr_json(capsys)
+        assert err["type"] == "ValueError"
+        assert flag in err["error"]
+        assert not out.exists()
+
+    def test_config_file_string(self, panel_file, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"factors": "1,2_0"}))
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(config), "--input", panel_file,
+                     "--out", str(out)]) == 1
+        assert _stderr_json(capsys)["error"] == (
+            "--factors must be a comma list of positive integers, got '1,2_0'")
+        assert not out.exists()
+
+    def test_whitespace_signs_and_exponents_read_as_before(self, panel_file, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setenv("XCORR_SEED", " 17 ")
+        out = tmp_path / "out"
+        assert main(["report", "--bins", " +50 ", "--factors", " 1 ,+2", "--input", panel_file,
+                     "--out", str(out)]) == 0
+        echoed = json.loads((out / "config.json").read_text())
+        assert (echoed["seed"], echoed["bins"], echoed["factors"]) == (17, 50, " 1 ,+2")
+        payload = json.loads((out / "report.json").read_text())
+        assert [f for f, _ in payload["lambda1_vs_coarsening"]] == [1, 2]
+        assert main(["elements", "--q-target", " 2e0 ", "--input", panel_file,
+                     "--out", str(tmp_path / "q")]) == 0
+        assert json.loads((tmp_path / "q" / "config.json").read_text())["q_target"] == 2.0
+        parse = xcorr.cli._parse_scales
+        assert parse(" 16 :+400: 8").tolist() == parse("16:400:8").tolist()
+        parse = xcorr.cli._parse_q_grid
+        assert parse(" -4:4e0:+0.2").tolist() == parse("-4:4:0.2").tolist()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nan_and_inf_reach_the_bound_check(self, panel_file, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["elements", f"--q-target={value}", "--input", panel_file,
+                     "--out", str(out)]) == 1
+        assert _stderr_json(capsys)["error"] == f"--q-target must be finite, got {float(value)!r}"
+        assert not out.exists()
 
 
 def _wide_text(header, rows=10):

@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the library in src/."""
+"""Smoke tests: every demo script, and the README Quickstart, run to completion
+against the library in src/."""
 
 import glob
 import os
@@ -27,3 +28,12 @@ def test_demo_runs(path, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_runs(capsys):
+    # The python block under "Quickstart:" in README.md, run as written.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        after = fh.read().split("\nQuickstart:\n", 1)[1]
+    block = after.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Quickstart)", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

@@ -199,6 +199,34 @@ def test_numeric_argument_of_the_wrong_type_is_a_named_error(panel_4x64, call, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda r, s: xcorr.synth.preset("one_factor", nope=3),
+     "unknown MarketModel field(s) ['nope'] for preset 'one_factor'"),
+    (lambda r, s: xcorr.synth.burst_profile(10, "x", 2.0), "n_burst must be an integer, got 'x'"),
+    (lambda r, s: xcorr.synth.burst_profile(10.0, 2, 2.0),
+     "bars_per_day must be an integer, got 10.0"),
+    (lambda r, s: xcorr.synth.burst_profile(10, 2, "x"), "level must be a real number, got 'x'"),
+    (lambda r, s: xcorr.synth.burst_profile(10, 2, math.inf),
+     "level must be finite and positive, got inf"),
+    (lambda r, s: xcorr.modes.Eigensignal("1", eigensignals(r, s, [1])[0].series, s.eigenvalues[0]),
+     "index must be an integer, got '1'"),
+    (lambda r, s: xcorr.modes.Eigensignal(1, eigensignals(r, s, [1])[0].series, None),
+     "eigenvalue must be a real number, got None"),
+    (lambda r, s: xcorr.spectrum.EigenSpectrum(s.eigenvalues, s.eigenvectors, source_q="q"),
+     "source_q must be a real number, got 'q'"),
+    (lambda r, s: xcorr.surrogate.apply_surrogate(r, "rotate_free"),
+     "spec must be a SurrogateSpec, got 'rotate_free'"),
+    (lambda r, s: xcorr.mfdfa.average_spectra([1, 2]),
+     "spectra must be SingularitySpectrum records, got [1, 2]"),
+], ids=["preset-field", "burst-n_burst", "burst-bars_per_day", "burst-level", "burst-inf",
+        "eigensignal-index", "eigensignal-eigenvalue", "spectrum-source_q", "surrogate-spec", "average-spectra"])
+def test_a_bad_argument_at_a_library_edge_is_a_named_error(panel_4x64, call, message):
+    s = xcorr.spectrum.eigendecompose(xcorr.spectrum.correlation_matrix(panel_4x64))
+    with pytest.raises(ValueError) as exc:
+        call(panel_4x64, s)
+    assert str(exc.value) == message
+
+
 class TestPanelValidation:
     def test_non_uniform_timestamps_rejected(self):
         with pytest.raises(ValueError, match="uniform"):

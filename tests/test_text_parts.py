@@ -1097,6 +1097,19 @@ class TestReadPeaks:
         read = lambda: ingest(str(root / "wide-dropped.csv"), "wide", bars_per_day=7)  # noqa: E731
         assert peak(read, unit) <= 2.5
 
+    def test_long_csv(self, tmp_path, peak):
+        # 32 assets x 1024 bars, one record a line: four typed columns (4
+        # panels), np.unique's sort and inverse, the cell sort and the prices
+        # peak at about 9.4 panels; a tuple per record took about 28.
+        n, t = 32, 1024
+        steps = np.cumsum(1e-3 * np.sign(_returns(n, t, seed=17).returns), axis=1).tolist()
+        path = tmp_path / "long.csv"
+        with open(path, "w") as fh:
+            fh.write("timestamp,asset,price\n")
+            for j in range(t):
+                fh.writelines(f"{j * 60.0!r},S{i},{100.0 + steps[i][j]!r}\n" for i in range(n))
+        assert peak(lambda: ingest(str(path), "long", bars_per_day=1), n * t * 8) <= 10.0
+
 
 # Each subcommand's flags (beside --input and --out) and its bound, in panels.
 RUN_PEAKS = {

@@ -25,9 +25,7 @@ from xcorr.synth import MarketModel, generate
 
 
 def lambda1(panel):
-    if not panel.standardized:
-        panel = standardize(panel)
-    return eigendecompose(correlation_matrix(panel)).eigenvalues[0]
+    return eigendecompose(correlation_matrix(standardize(panel))).eigenvalues[0]
 
 
 def main():

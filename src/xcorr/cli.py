@@ -954,7 +954,7 @@ _FLAGS = {
                             choices=KINDS),
     "modes": _Flag(int, 4, "number of leading eigensignals", ("mfdfa",), ge=1),
     "q_grid": _Flag(str, "-4:4:0.2", "moment grid as min:max:step", ("mfdfa",)),
-    "detrend_order": _Flag(int, 2, "polynomial detrending order", ("mfdfa",)),
+    "detrend_order": _Flag(int, 2, "polynomial detrending order", ("mfdfa",), ge=1),
     "scales": _Flag(str, None, "segment lengths: min:max:count (geometric) or comma list",
                     ("mfdfa",)),
     "factors": _Flag(str, "1,2,5,10", "comma list of coarsening factors", ("report",)),
@@ -1164,7 +1164,7 @@ def _load_panel(cfg) -> ReturnPanel:
     r = ingest(cfg["input"], cfg["format"], bars_per_day=cfg["bars_per_day"])
     if isinstance(r, PricePanel):
         r = log_returns(r)
-    return r if r.standardized else standardize(r)
+    return standardize(r)
 
 
 def _parse_q_grid(text) -> np.ndarray:
@@ -1317,8 +1317,7 @@ def _run_surrogate(cfg):
     _, s0, b, _ = _spectrum_payload(r)
     sur = apply_surrogate(r, spec)
     del r  # so standardize does not run beside the original panel
-    if not sur.standardized:
-        sur = standardize(sur)
+    sur = standardize(sur)
     _, s1, _, gamma1 = _spectrum_payload(sur)
     tag = _FIG_TAG[spec.kind]
     return {

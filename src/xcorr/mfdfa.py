@@ -186,7 +186,10 @@ class SingularitySpectrum:
 
     def __post_init__(self):
         for name in ("q", "h", "alpha", "f"):
-            setattr(self, name, _as_array(getattr(self, name), name))
+            arr = _as_array(getattr(self, name), name)
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+            setattr(self, name, arr)
         if not self.q.size == self.h.size == self.alpha.size == self.f.size:
             raise ValueError("q, h, alpha, f must have equal length")
         self.width = float(self.alpha.max() - self.alpha.min())
@@ -217,8 +220,7 @@ def _detrend_basis(n, l):
     Two threads may each build the same basis once; the QR is deterministic,
     so either copy has the same bits."""
     basis, _ = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, n), l + 1, increasing=True))
-    basis.setflags(write=False)
-    return basis
+    return _frozen(basis)
 
 
 def segment_variances(y, n: int, l: int = 2) -> np.ndarray:

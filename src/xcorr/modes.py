@@ -220,7 +220,7 @@ def remove_modes_iterative(r: ReturnPanel, count: int, from_original: bool = Fal
         raise ValueError("count must be at least 1")
     if count > r.n_assets:
         raise ValueError(f"count must be at most the number of assets N={r.n_assets}, got {count}")
-    current = r if r.standardized else standardize(r)
+    current = standardize(r)
     resid = np.empty((r.n_assets, r.t_length))
     removed, alphas, betas, pass_assets, dropped, spectra = [], [], [], [], [], []
 

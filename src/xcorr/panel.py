@@ -85,12 +85,20 @@ def _as_array(values, name, dtype=float):
 
     A frozen C-contiguous array (see :func:`_is_frozen`; :func:`_frozen`
     leaves one) is taken as it is: nothing else can write to it.  Anything
-    else is copied once into C order, and the copy is frozen.
+    else is copied once into C order, and the copy is frozen.  Text is no
+    number here: numpy's cast would read ``'1_0'`` as 10.
     """
     if _is_frozen(values, dtype) and values.flags.c_contiguous:
         return values
     try:
-        return _frozen(np.array(values, dtype=dtype, order="C"))
+        arr = values if isinstance(values, np.ndarray) else np.array(values)
+        if arr.dtype.kind in "SU" or (
+            arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat)
+        ):
+            raise TypeError("text entries are not numbers")
+        # The caller's array is copied; one made from a list just now is not.
+        convert = np.array if arr is values else np.asarray
+        return _frozen(convert(arr, dtype=dtype, order="C"))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
 
@@ -370,8 +378,20 @@ def log_returns(p: PricePanel) -> ReturnPanel:
 
 def standardize(r: ReturnPanel) -> ReturnPanel:
     """Shift/scale each row to mean 0, population variance 1 (divisor T), with
-    the bits of ``(x - x.mean(1)) / x.std(1)``."""
-    out, flat = _standardized_rows(r.returns, r.assets)
+    the bits of ``(x - x.mean(1)) / x.std(1)``.
+
+    The one place that decides whether a panel needs it: a panel flagged
+    ``standardized`` was checked to ``MEAN_TOL``/``VAR_TOL`` when it was built,
+    so it is returned as it is.
+    """
+    return r if r.standardized else _standardized(r, r.returns)
+
+
+def _standardized(r: ReturnPanel, x) -> ReturnPanel:
+    """`r` holding `x`, rows of `r`'s assets (its returns or a slice of their
+    columns), standardized into a new array; a zero-variance row is a
+    ValueError naming its asset."""
+    out, flat = _standardized_rows(x, r.assets)
     if flat.any():
         raise ValueError(f"cannot standardize zero-variance series {r.assets[flat.argmax()]!r}")
     return replace(r, returns=_frozen(out), standardized=True)

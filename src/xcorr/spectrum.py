@@ -4,11 +4,11 @@ distribution of matrix elements."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _as_array, _each, _frozen, _integer, _real, _record, standardize
+from .panel import ReturnPanel, _as_array, _each, _frozen, _integer, _real, _record, _standardized
 
 __all__ = [
     "CorrelationMatrix",
@@ -149,8 +149,13 @@ class ElementDistribution:
     n_entries: int
 
     def __post_init__(self):
-        self.bin_edges = _as_array(self.bin_edges, "bin_edges")
-        self.densities = _as_array(self.densities, "densities")
+        self.bin_edges = edges = _as_array(self.bin_edges, "bin_edges")
+        self.densities = dens = _as_array(self.densities, "densities")
+        if edges.ndim != 1 or dens.ndim != 1 or edges.size != dens.size + 1:
+            raise ValueError(
+                f"bin_edges and densities must be 1-D with one more edge than densities, "
+                f"got shapes {edges.shape} and {dens.shape}"
+            )
         self.degenerate = bool(self.gaussian_sigma == 0.0)
 
     to_dict = _record
@@ -261,9 +266,9 @@ def windowed_element_distribution(
 ) -> ElementDistribution:
     """Pooled off-diagonal entries from non-overlapping windows of length ~q_target*N.
 
-    Each window is standardized on its own before its correlation matrix is
-    built, so short-window sampling noise enters exactly as it would for a
-    panel recorded at that aspect ratio.
+    Each window is standardized on its own, straight from its slice of the
+    returns, before its correlation matrix is built, so short-window sampling
+    noise enters exactly as it would for a panel recorded at that aspect ratio.
     """
     n = r.n_assets
     if n < 3:
@@ -276,7 +281,10 @@ def windowed_element_distribution(
     # huge q_target * N from overflowing int().
     window = int(round(min(q_target * n, r.t_length + 1)))
     if window < 2:
-        raise ValueError(f"window length {window} is too short")
+        raise ValueError(
+            f"window length {window} is too short: q_target*N = {q_target * n:.6g} "
+            f"(q_target={q_target}, N={n})"
+        )
     n_windows = r.t_length // window
     if n_windows < 1:
         raise ValueError(
@@ -286,7 +294,6 @@ def windowed_element_distribution(
     pooled = []
     iu = np.triu_indices(n, k=1)
     for w in range(n_windows):
-        chunk = replace(r, returns=r.returns[:, w * window : (w + 1) * window], standardized=False)
-        c = correlation_matrix(standardize(chunk))
+        c = correlation_matrix(_standardized(r, r.returns[:, w * window : (w + 1) * window]))
         pooled.append(c.values[iu])
     return _distribution_from_entries(np.concatenate(pooled), n_bins)

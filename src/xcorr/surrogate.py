@@ -90,7 +90,8 @@ def rotate_daily(r: ReturnPanel, seed) -> ReturnPanel:
     Day-periodic structure (shared intraday activity patterns) survives this
     rotation.  A trailing partial day is trimmed with a warning; the trimmed
     panel is no longer exactly standardized, so the flag is cleared in that
-    case and the caller should re-standardize.
+    case: pass the result to :func:`xcorr.panel.standardize`, which returns a
+    panel that is still standardized as it is.
     """
     return _rotate(r, seed, r.bars_per_day)
 

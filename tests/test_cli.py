@@ -692,6 +692,22 @@ class TestMainElements:
         cfg = json.loads((out / "config.json").read_text())
         assert cfg["q_target"] == 5.0
 
+    def test_each_window_is_one_panel(self, tmp_path, monkeypatch):
+        # The panel read from the file, then one standardized panel per
+        # window, built straight from the window's slice.
+        rng = np.random.Generator(np.random.Philox(key=np.array([78, 0], dtype=np.uint64)))
+        path = tmp_path / "standardized.csv"
+        export_panel(standardize(_panel(rng.standard_normal((10, 230)), bars_per_day=10)), path)
+        built = []
+        post_init = ReturnPanel.__post_init__
+        monkeypatch.setattr(ReturnPanel, "__post_init__",
+                            lambda self: built.append(self.standardized) or post_init(self))
+        out = tmp_path / "out"
+        rc = main(["elements", "--input", str(path), "--q-target", "5", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "elements.json").read_text())["n_entries"] == 4 * 45
+        assert built == [True] * (1 + 4)
+
 
 class TestMainRemove:
     def test_two_pass_removal(self, panel_file, tmp_path):
@@ -1429,6 +1445,19 @@ class TestLockWithoutFcntl:
 
 
 class TestMainErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["mfdfa", "--detrend-order", "0", "--modes", "3"],
+         "--detrend-order must be at least 1, got 0"),
+        (["elements", "--q-target", "0.2"],
+         "window length 1 is too short: q_target*N = 0.8 (q_target=0.2, N=4)"),
+    ], ids=["detrend-order", "q-target"])
+    def test_a_bad_value_names_its_input(self, panel_file, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", panel_file, "--out", str(out)])
+        assert rc == 1
+        assert _stderr_json(capsys) == {"error": message, "type": "ValueError"}
+        assert not out.exists()
+
     def test_no_input_or_preset(self, tmp_path, capsys):
         rc = main(["spectrum", "--out", str(tmp_path / "out")])
         assert rc == 1

@@ -1,3 +1,4 @@
+import ast
 import gc
 import importlib.util
 import inspect
@@ -114,6 +115,71 @@ class TestStandardize:
     def test_idempotence(self, panel_3x16):
         again = standardize(panel_3x16)
         assert np.allclose(again.returns, panel_3x16.returns, atol=1e-12)
+
+    def test_a_standardized_panel_passes_through(self, panel_3x16):
+        # Its construction checked the row means and variances to MEAN_TOL
+        # and VAR_TOL, so there is nothing left to do.
+        assert standardize(panel_3x16) is panel_3x16
+
+    def test_a_raw_panel_gives_a_new_frozen_panel(self):
+        x = np.array([[1.0, 2.0, 4.0, 8.0], [3.0, -1.0, 0.5, 2.0]])
+        raw = ReturnPanel(["A", "B"], x, False, 4, 60.0)
+        s = standardize(raw)
+        assert s is not raw and s.standardized and not raw.standardized
+        assert not s.returns.flags.writeable
+        assert not np.shares_memory(s.returns, raw.returns)
+        assert np.array_equal(raw.returns, x)
+        expect = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+        assert np.array_equal(s.returns, expect)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _guarded_standardize_calls(source):
+    """Lines of `source` where an ``if`` or a conditional expression reads
+    ``.standardized`` and calls ``standardize`` in a branch: the decision
+    :func:`standardize` makes itself."""
+    def calls_standardize(nodes):
+        return any(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "standardize"
+            for node in nodes for n in ast.walk(node)
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.If, ast.IfExp)):
+            continue
+        reads = any(isinstance(n, ast.Attribute) and n.attr == "standardized"
+                    for n in ast.walk(node.test))
+        branches = ([node.body, node.orelse] if isinstance(node, ast.IfExp)
+                    else node.body + node.orelse)
+        if reads and calls_standardize(branches):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("z = r if r.standardized else standardize(r)\n", [1]),
+    ("if not sur.standardized:\n    sur = xcorr.panel.standardize(sur)\n", [1]),
+    ("if p.standardized:\n    pass\nelse:\n    p = standardize(p)\n", [1]),
+    ("z = standardize(r)\nif r.standardized:\n    print(r)\n", []),
+], ids=["conditional", "if", "else", "unguarded"])
+def test_the_guard_finder_finds_guards(source, lines):
+    assert _guarded_standardize_calls(source) == lines
+
+
+@pytest.mark.parametrize("path", sorted(
+    os.path.relpath(os.path.join(d, f), REPO)
+    for d in (os.path.join(REPO, "src", "xcorr"), os.path.join(REPO, "demos"))
+    for f in os.listdir(d) if f.endswith(".py")
+))
+def test_no_caller_asks_whether_a_panel_is_standardized(path):
+    # standardize passes a standardized panel through, so a caller that
+    # checks the flag first only repeats that decision.
+    with open(os.path.join(REPO, path), encoding="utf-8") as fh:
+        assert _guarded_standardize_calls(fh.read()) == []
 
 
 class TestCoarsen:

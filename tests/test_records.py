@@ -270,3 +270,50 @@ def test_a_record_derived_from_an_edited_copy_is_rebuilt(records):
     surface = records["FluctuationSurface"]
     with pytest.raises(ValueError, match="read-only"):
         surface.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(bin_edges=[0.0], densities=[1.0, 2.0]),
+     r"bin_edges and densities must be 1-D with one more edge than densities, "
+     r"got shapes \(1,\) and \(2,\)"),
+    (dict(bin_edges=[0.0, 1.0], densities=[1.0, 2.0]), r"got shapes \(2,\) and \(2,\)"),
+    (dict(bin_edges=[[0.0, 1.0, 2.0]], densities=[1.0, 2.0]), r"got shapes \(1, 3\) and \(2,\)"),
+    (dict(bin_edges=0.0, densities=[]), r"got shapes \(\) and \(0,\)"),
+], ids=["too-few-edges", "equal-sizes", "2-d-edges", "0-d-edges"])
+def test_element_distribution_shapes(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        spectrum.ElementDistribution(**kwargs, gaussian_mu=0.0, gaussian_sigma=1.0,
+                                     tail_deviation=0.0, n_entries=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("q", 1.0), ("h", 1.0), ("alpha", [[1.0]]), ("f", [[1.0]]),
+], ids=["0-d-q", "0-d-h", "2-d-alpha", "2-d-f"])
+def test_singularity_spectrum_arrays_are_one_dimensional(name, value):
+    arrays = {"q": [1.0], "h": [1.0], "alpha": [1.0], "f": [1.0], name: value}
+    with pytest.raises(ValueError, match=rf"^{name} must be one-dimensional, got shape"):
+        mfdfa.SingularitySpectrum(**arrays)
+
+
+@pytest.mark.parametrize("q_grid", [
+    [-4, -2, 0, 2, "4_0"],
+    ["-4", "-2", "0", "2", "4"],
+    np.array(["-4", "-2", "0", "2", "4"]),
+    np.array([b"-4", b"-2", b"0", b"2", b"4"]),
+    np.array([-4, -2, 0, 2, "4"], dtype=object),
+    np.array([-4, -2, 0, 2, b"4"], dtype=object),
+], ids=["str-in-list", "all-str", "unicode-array", "bytes-array", "str-in-object",
+        "bytes-in-object"])
+def test_text_is_not_a_number(q_grid):
+    # numpy's cast would read '4_0' as 40.
+    with pytest.raises(ValueError, match="^q_grid must be an array of numbers: "):
+        mfdfa.MfdfaConfig(q_grid=q_grid)
+
+
+def test_numbers_of_any_kind_still_read():
+    grid = [np.int64(-4), -2, 0.0, np.float32(2.0), 4]
+    assert mfdfa.MfdfaConfig(q_grid=grid).q_grid.tolist() == [-4.0, -2.0, 0.0, 2.0, 4.0]
+    assert mfdfa.MfdfaConfig(q_grid=np.array(grid, dtype=object)).q_grid.tolist() == [
+        -4.0, -2.0, 0.0, 2.0, 4.0]
+    frozen = panel._frozen(np.array([-4.0, -2.0, 0.0, 2.0, 4.0]))
+    assert panel._as_array(frozen, "q_grid") is frozen

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,3 +414,41 @@ class TestWindowedElementDistribution:
     def test_rejects_window_shorter_than_two(self, panel_3x16):
         with pytest.raises(ValueError, match="too short"):
             windowed_element_distribution(panel_3x16, q_target=0.1)
+
+    @pytest.mark.parametrize("n, t, q_target", [
+        (3, 16, 1.0), (7, 1003, 3.0), (37, 5003, 2.0), (17, 999, 1.1), (100, 10_000, 2.0),
+    ], ids=["3x16-w3", "7x1003-w21", "37x5003-w74", "17x999-w19", "100x10000-w200"])
+    @pytest.mark.parametrize("standardized", [False, True], ids=["raw", "standardized"])
+    def test_each_window_has_the_bits_of_a_standardized_copy(self, monkeypatch, n, t, q_target,
+                                                            standardized):
+        # Reference: copy each window into a raw panel, then standardize it.
+        rng = np.random.Generator(np.random.Philox(key=np.array([n, t], dtype=np.uint64)))
+        r = _panel(rng.standard_normal((n, t)) * rng.uniform(0.5, 3.0, (n, 1)) + 0.1)
+        if standardized:
+            r = standardize(r)
+        window = int(round(q_target * n))
+        want = [standardize(replace(r, returns=r.returns[:, lo:lo + window], standardized=False))
+                for lo in range(0, t - window + 1, window)]
+        seen = []
+        monkeypatch.setattr(xcorr.spectrum, "correlation_matrix",
+                            lambda p: seen.append(p) or correlation_matrix(p))
+        got = windowed_element_distribution(r, q_target, n_bins=20)
+        assert len(seen) == len(want) == t // window
+        for p, ref in zip(seen, want):
+            assert p.standardized and p.assets == r.assets
+            assert np.array_equal(p.returns, ref.returns)
+        iu = np.triu_indices(n, k=1)
+        ref = xcorr.spectrum._distribution_from_entries(
+            np.concatenate([correlation_matrix(p).values[iu] for p in want]), 20)
+        assert np.array_equal(got.bin_edges, ref.bin_edges)
+        assert np.array_equal(got.densities, ref.densities)
+        assert (got.gaussian_mu, got.gaussian_sigma) == (ref.gaussian_mu, ref.gaussian_sigma)
+        assert np.array_equal(got.tail_deviation, ref.tail_deviation, equal_nan=True)
+
+    def test_a_flat_row_in_one_window_is_named(self):
+        rng = np.random.Generator(np.random.Philox(key=np.array([5, 1], dtype=np.uint64)))
+        rows = rng.standard_normal((4, 40))
+        rows[2, 20:30] = 0.25  # flat in the third window of 10 bars only
+        r = standardize(_panel(rows, assets=["A", "B", "X", "D"]))
+        with pytest.raises(ValueError, match="cannot standardize zero-variance series 'X'"):
+            windowed_element_distribution(r, q_target=2.5)

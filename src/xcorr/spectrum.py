@@ -54,6 +54,7 @@ class CorrelationMatrix:
             raise ValueError("entries must lie in [-1, 1]")
         if abs(np.trace(v) - v.shape[0]) >= TRACE_TOL:
             raise ValueError("trace must equal N within 1e-8")
+        self.t_length = _integer(self.t_length, "t_length")
         if self.t_length < 2:
             raise ValueError("t_length must be at least 2")
 

@@ -59,6 +59,7 @@ class SurrogateSpec:
 
 def _rotate(r: ReturnPanel, seed, unit) -> ReturnPanel:
     """Roll each row by an independent whole number of `unit`-bar blocks."""
+    seed = _seed(seed)
     full = r.t_length
     t = full - full % unit
     if t < full:
@@ -98,6 +99,7 @@ def rotate_daily(r: ReturnPanel, seed) -> ReturnPanel:
 
 def _shuffle(r: ReturnPanel, seed, signs) -> ReturnPanel:
     """Permute each row's sign (`signs`) or magnitude sequence, the other in place."""
+    seed = _seed(seed)
     rows = np.empty_like(r.returns)
 
     def permute(b):

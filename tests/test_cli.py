@@ -10,6 +10,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,60 @@ def _reference_export(r, path, extra_comments=()):
             fh.write(str(j) + "," + ",".join(repr(float(x)) for x in cols[j]) + "\n")
 
 
+class TestOrjsonFloatText:
+    """export_panel writes a bar with orjson only when each of its values is
+    +-0.0 or lies in 1e-4 <= |v| < 1e16: there orjson's text must be repr()'s,
+    digit for digit and in the same notation."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=float)
+        a = np.abs(values)
+        assert (((a >= 1e-4) & (a < 1e16)) | (a == 0.0)).all()
+        text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+        want = [repr(v).encode() for v in values.tolist()]
+        bad = [(w, t) for w, t in zip(want, text) if w != t]
+        assert len(text) == len(want) and not bad, bad[:5]
+
+    def test_random_bit_patterns(self):
+        # Every mantissa bit pattern, under each binary exponent in range.
+        rng = np.random.default_rng(11)
+        n = 200_000
+        exponent = rng.integers(1023 - 14, 1023 + 54, n, dtype=np.uint64)
+        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+                | exponent << np.uint64(52)
+                | rng.integers(0, 1 << 52, n, dtype=np.uint64))
+        v = bits.view(np.float64)
+        a = np.abs(v)
+        self._check(v[(a >= 1e-4) & (a < 1e16)])
+
+    def test_log_uniform_decades(self):
+        rng = np.random.default_rng(12)
+        v = 10.0 ** rng.uniform(-4, 16, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+        self._check(v[np.abs(v) < 1e16])
+
+    def test_short_decimals(self):
+        # Few significant digits: trailing '.0', and no exponent up to 1e15.
+        digits = np.arange(1, 1000, dtype=float)
+        self._check(np.concatenate([digits * 10.0 ** e for e in range(-4, 13)]))
+
+    def test_boundary_values(self):
+        top = np.nextafter(1e16, 0)
+        powers = 2.0 ** np.arange(-13, 54)
+        self._check([1e-4, np.nextafter(1e-4, 1), top, -top, 1e15, np.nextafter(1e15, 0),
+                     np.nextafter(1e15, 2e15), 0.0, -0.0, -1e-4, *powers, *-powers])
+
+    def test_the_other_notations_take_repr(self, tmp_path):
+        # The values just outside the range, where orjson's notation differs.
+        rows = np.array([[1e-5, 1e16, np.nextafter(1e-4, 0)], [0.5, 2.0, -0.0]])
+        p = _panel(rows, bars_per_day=3)
+        export_panel(p, tmp_path / "new.csv")
+        _reference_export(p, tmp_path / "ref.csv")
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "ref.csv")
+        assert _read(tmp_path / "new.csv").endswith(
+            b"0,1e-05,0.5\n1,1e+16,2.0\n2,9.999999999999999e-05,-0.0\n")
+
+
 def _reference_forward_fill(row):
     row = row.copy()
     for j in range(1, row.size):
@@ -115,6 +170,26 @@ class TestPanelRoundTrip:
         p = _panel(rows, bars_per_day=t_length)
         export_panel(p, tmp_path / "new.csv", extra_comments=["config_hash: abc"])
         _reference_export(p, tmp_path / "ref.csv", extra_comments=["config_hash: abc"])
+        assert _read(tmp_path / "new.csv") == _read(tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_bytes_match_reference_writer_with_both_kinds_of_bar(self, tmp_path, monkeypatch,
+                                                                 count):
+        # A standardized panel in which some bars hold a value orjson would
+        # write in another notation (3e-05, 2e+16): those bars take repr(),
+        # the rest orjson, interleaved within blocks and across both parts.
+        rng = np.random.default_rng(31)
+        x = standardize(_panel(rng.standard_normal((30, 2600)))).returns.copy()
+        x[rng.integers(0, 30, 40), rng.integers(0, 2600, 40)] = 3e-5
+        x[rng.integers(0, 30, 40), rng.integers(0, 2600, 40)] = -2e16
+        a = np.abs(x)
+        plain = ((a >= 1e-4) & (a < 1e16)).all(axis=0)
+        assert 0 < (~plain).sum() < plain.sum()
+        assert (~plain[1300:]).any() and (~plain[:128]).any()
+        monkeypatch.setattr(xcorr.panel, "_HELPERS", count)
+        p = _panel(x, bars_per_day=26)
+        export_panel(p, tmp_path / "new.csv")
+        _reference_export(p, tmp_path / "ref.csv")
         assert _read(tmp_path / "new.csv") == _read(tmp_path / "ref.csv")
 
     def test_read_back_is_c_contiguous(self, panel_file):

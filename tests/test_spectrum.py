@@ -102,6 +102,13 @@ class TestCorrelationMatrix:
         with pytest.raises(TypeError):
             CorrelationMatrix(values=np.eye(3), n_series=4, t_length=12)
 
+    @pytest.mark.parametrize("t_length", [2.5, None, True, "12"], ids=repr)
+    def test_t_length_must_be_an_integer(self, t_length):
+        # 2.5 would give q = 0.25 and None leaked a TypeError.
+        with pytest.raises(ValueError, match="t_length must be an integer"):
+            CorrelationMatrix(values=np.eye(10), t_length=t_length)
+        assert CorrelationMatrix(values=np.eye(10), t_length=np.int64(20)).q == 2.0
+
     def test_values_are_read_only(self, panel_3x16):
         c = correlation_matrix(panel_3x16)
         with pytest.raises(ValueError):

@@ -70,6 +70,15 @@ class TestSurrogateSpec:
         assert spec.to_dict() == {"kind": "shuffle_signs", "seed": 7}
 
 
+@pytest.mark.parametrize("fn", [rotate_free, rotate_daily, shuffle_signs, shuffle_magnitudes])
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, None], ids=repr)
+def test_surrogate_functions_check_their_seed(panel_4x64, fn, seed):
+    # The rule of SurrogateSpec: 1.5 and True would draw seed 1's surrogate,
+    # -1 and 2**64 leaked an OverflowError and None a TypeError.
+    with pytest.raises(ValueError, match="seed"):
+        fn(panel_4x64, seed)
+
+
 class TestRotateFree:
     def test_deterministic(self, panel_4x64):
         a = rotate_free(panel_4x64, 5)

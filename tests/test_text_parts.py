@@ -1111,6 +1111,24 @@ class TestReadPeaks:
         assert peak(lambda: ingest(str(path), "long", bars_per_day=1), n * t * 8) <= 10.0
 
 
+class TestWritePeak:
+    """Peak bytes traced in the calling process while ``export_panel`` writes
+    a 100 x 8192 panel, over the panel's bytes: one block of 128 bars is
+    copied and formatted at a time, so about 0.2; a block of 1024 bars took
+    1.2 to 1.5."""
+
+    # Standardized, nearly every bar goes through orjson; as it is, the panel
+    # of ``peak_files`` sends nearly every bar through repr() (timed at one
+    # helper only: repr() under the trace is slow).
+    @pytest.mark.parametrize("standardized, count", [(True, 0), (True, 1), (False, 1)])
+    def test_export_panel(self, helpers, peak, tmp_path, standardized, count):
+        r = _returns(100, 8192, seed=16)
+        if standardized:
+            r = panel.standardize(r)
+        helpers(count)
+        assert peak(lambda: export_panel(r, tmp_path / "p.csv"), r.returns.nbytes) <= 0.25
+
+
 # Each subcommand's flags (beside --input and --out) and its bound, in panels.
 RUN_PEAKS = {
     "spectrum": (["spectrum"], 2.5),

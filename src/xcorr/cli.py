@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -65,6 +63,10 @@ _FORMAT_BLOCK = 128
 _READ_CHUNK = 1 << 20
 # A line ends at LF, CRLF or a lone CR, as text read with newline="" splits it.
 _LINE_END = re.compile(rb"\r\n|\r|\n")
+# A field of a price-file line, up to the next comma: quoted (group 1 inside
+# the quotes, group 2 any text after the closing one) or plain (group 3).
+_FIELD = re.compile(r'"((?:[^"]|"")*)"(?!")([^,]*)|([^,]*)')
+_FIELD_LIMIT = 131072  # the longest price-file field, csv.reader's default limit
 
 _FIG_TAG = {
     "rotate_free": "fig3a-analogue",
@@ -628,66 +630,57 @@ def _timestamp(token, lineno):
     return ts
 
 
-def _csv_records(fh, path):
-    """(line number, fields) of each record of a CSV file with a non-blank
-    field, header included.  A file with no such record is a ValueError naming
-    the file, and a malformed record or a line that is not UTF-8 text (`fh`
-    reads with errors="surrogateescape") one naming the file and its first line."""
+def _fields(line, lineno, path):
+    """The fields of one price-file line (without its line end), as csv.reader's
+    default dialect splits a record that lies on one line.  A field that opens
+    with '"' keeps '""' as one quote, and any text after its closing quote; any
+    other field runs to the next comma.
 
-    def lines():
-        for lineno, line in enumerate(fh, start=1):
-            _check_utf8(line, lineno, path)
-            yield line
-
-    reader = csv.reader(lines())
-    empty = True
-    while True:
-        lineno = reader.line_num + 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            if empty:
-                raise ValueError(f"empty file: {path}") from None
-            return
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed CSV record: {exc}") from None
-        if any(f.strip() for f in row):
-            empty = False
-            yield lineno, row
+    A quoted field that does not close on its line, and a field over
+    _FIELD_LIMIT characters, are a ValueError naming the file and the line.
+    """
+    if '"' not in line:
+        fields = line.split(",")
+    else:
+        fields, pos = [], 0
+        while pos <= len(line):
+            m = _FIELD.match(line, pos)
+            quoted, after, plain = m.groups()
+            if plain is None:
+                fields.append(quoted.replace('""', '"') + after)
+            elif plain.startswith('"'):
+                raise ValueError(f"{path}: line {lineno}: malformed CSV record: "
+                                 "a quoted field runs past the end of its line")
+            else:
+                fields.append(plain)
+            pos = m.end() + 1  # past the comma
+    if len(line) > _FIELD_LIMIT and max(map(len, fields)) > _FIELD_LIMIT:
+        raise ValueError(f"{path}: line {lineno}: malformed CSV record: "
+                         f"field larger than field limit ({_FIELD_LIMIT})")
+    return fields
 
 
 def _read_wide_csv(path, bars_per_day) -> PricePanel:
     """A wide price CSV file as a PricePanel.
 
-    A regular file that holds no '"' is read like a panel file: the caller
-    reads down to the column header, and the data lines are read in byte-range
-    parts by :func:`_text_parts`, each line split by :func:`_wide_record`
-    (what the csv module makes of it).  A quoted field may hold a line end, so
-    a file with a '"', and anything not a regular file, is read as CSV records
-    in one pass, and its prices are converted in the calling process.
+    It is read like a panel file: the caller reads down to the column header,
+    and the data lines are read in byte-range parts by :func:`_text_parts`,
+    each line split by :func:`_wide_record`.  Anything not a regular file is
+    read on from the header in one part.
     """
     with open(path, "rb") as fh:
         read, size = _reader(fh)
-        if size is None or _holds(read, size, b'"'):
-            with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape",
-                                  newline="") as text:
-                assets, pieces, stop = _wide_records(text, path)
+        head = _Head(_chunks(read, 0, None))
+        for lineno, line in head:
+            _check_utf8(line, lineno, path)
+            if _wide_record(line, lineno, path)[0]:
+                break
         else:
-            head = _Head(_chunks(read, 0, None))
-            for lineno, line in head:
-                _check_utf8(line, lineno, path)
-                _check_field_sizes(line, lineno, path)
-                if _wide_record(line)[0]:
-                    break
-            else:
-                raise ValueError(f"empty file: {path}")
-            assets = _wide_assets(line.split(","), lineno)
-            pieces = _text_parts(
-                read, size, head, lambda chunks, first: _wide_rows(chunks, first, assets, path),
-                1 + len(assets))
-            stop = None
-    if stop is not None:
-        raise stop
+            raise ValueError(f"empty file: {path}")
+        assets = _wide_assets(_fields(line, lineno, path), lineno)
+        pieces = _text_parts(
+            read, size, head, lambda chunks, first: _wide_rows(chunks, first, assets, path),
+            1 + len(assets))
     if not sum(map(len, pieces)):
         raise ValueError(f"no data rows in {path}")
     timestamps, prices = _columns(pieces, (0, 1), (1, 1 + len(assets)))
@@ -697,75 +690,28 @@ def _read_wide_csv(path, bars_per_day) -> PricePanel:
 def _wide_assets(header, lineno):
     """The asset names of a wide CSV header record (on line `lineno`)."""
     if len(header) < 2:
-        raise ValueError("wide CSV needs a time column plus at least one asset")
+        raise ValueError(f"line {lineno}: wide CSV needs a time column plus at least one asset")
     assets = [a.strip() for a in header[1:]]
     _check_names(assets, f"line {lineno}")
     return assets
 
 
-def _wide_records(fh, path):
-    """(assets, row pieces, the first bad line's error or None) of a wide CSV
-    text file read as CSV records: the header, then each data record checked
-    in one pass, and the prices of the records before any bad one converted in
-    one :func:`_price_rows` call (timestamp first)."""
-    reader = _csv_records(fh, path)
-    lineno, header = next(reader)
-    assets = _wide_assets(header, lineno)
-    # Each row's price cells are kept as one comma-joined string, not one
-    # object per cell; a row with a comma inside a cell holds no price.
-    timestamps, rows, linenos = [], [], []
-    stop = None  # the first bad line's error, raised after the prices before it
-    try:
-        for lineno, row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            timestamps.append(_timestamp(row[0], lineno))
-            cells = ",".join(row[1:])
-            if cells.count(",") != len(row) - 2:
-                for a, c in zip(assets, row[1:]):
-                    _price(c, a, lineno)  # raises at the first bad cell
-            rows.append(cells)
-            linenos.append(lineno)
-    except ValueError as exc:
-        stop = exc
-    # A record that failed after its timestamp parsed left one timestamp over.
-    return assets, [_price_rows(timestamps[:len(rows)], rows, linenos, assets)], stop
+def _wide_record(line, lineno, path):
+    """(field count, first field, the other fields comma-joined) of a wide CSV
+    line; the count is 0 if no field holds more than whitespace (a line the
+    readers skip).
 
-
-def _holds(read, size, byte):
-    """Whether the `size` bytes of a file hold `byte`."""
-    pos = 0
-    while pos < size:
-        data = read(pos, _READ_CHUNK)
-        if not data:
-            break
-        if byte in data:
-            return True
-        pos += len(data)
-    return False
-
-
-def _wide_record(line):
-    """(field count, first field, the text after its comma) of a wide CSV line
-    holding no '"'; the count is 0 if no field holds more than whitespace.
-
-    For such a line csv.reader's fields are ``[first, *rest.split(",")]``
-    (``[first]`` if it holds no comma), and the csv reader skips a record
-    with no such field.
+    A line holding no '"' and no more than _FIELD_LIMIT characters is only
+    partitioned at its first comma: its fields are ``[first, *rest.split(",")]``.
+    Any other line is split by :func:`_fields`.
     """
+    if '"' in line or len(line) > _FIELD_LIMIT:
+        first, *cells = fields = _fields(line, lineno, path)
+        return len(fields) if any(f.strip() for f in fields) else 0, first, ",".join(cells)
     first, _, rest = line.partition(",")
     if not first.strip() and not rest.replace(",", "").strip():
         return 0, first, rest
     return line.count(",") + 1, first, rest
-
-
-def _check_field_sizes(line, lineno, path):
-    """The csv reader's error for a line holding a field over
-    ``csv.field_size_limit()`` characters, for a line read without it."""
-    limit = csv.field_size_limit()
-    if len(line) > limit and max(map(len, line.split(","))) > limit:
-        raise ValueError(f"{path}: line {lineno}: malformed CSV record: "
-                         f"field larger than field limit ({limit})")
 
 
 def _wide_rows(chunks, first, assets, path):
@@ -773,10 +719,10 @@ def _wide_rows(chunks, first, assets, path):
     one (k, 1 + N) array per chunk, timestamp first; the first line is line
     `first` (None in a forked child).
 
-    The lines hold no '"'.  Each gets the checks of the CSV record pass:
-    UTF-8 text, the csv reader's field size limit, records with no non-blank
-    field skipped, the field count and the timestamp.  The first line that
-    fails them ends the read, as in :func:`_panel_rows`.
+    Each line gets the checks the header's lines get: UTF-8 text and
+    :func:`_wide_record`'s split, lines with no non-blank field skipped; then
+    the field count, the timestamp, and no comma inside a quoted price cell.
+    The first line that fails them ends the read, as in :func:`_panel_rows`.
     """
     n_fields = 1 + len(assets)
     lineno = (first or 1) - 1
@@ -788,13 +734,16 @@ def _wide_rows(chunks, first, assets, path):
                 lineno += 1
                 if not utf8:
                     _check_utf8(line, lineno, path)
-                _check_field_sizes(line, lineno, path)
-                count, stamp, cells = _wide_record(line)
+                count, stamp, cells = _wide_record(line, lineno, path)
                 if not count:
                     continue
                 if count != n_fields:
                     raise ValueError(f"line {lineno}: expected {n_fields} fields, got {count}")
-                timestamps.append(_timestamp(stamp, lineno))
+                ts = _timestamp(stamp, lineno)
+                if '"' in line and cells.count(",") != n_fields - 2:
+                    for a, c in zip(assets, _fields(line, lineno, path)[1:]):
+                        _price(c, a, lineno)  # raises at the first bad cell
+                timestamps.append(ts)
                 rows.append(cells)
                 linenos.append(lineno)
         except ValueError as exc:
@@ -830,18 +779,25 @@ def _price(cell, asset, lineno):
 
 
 def _read_long_csv(path, bars_per_day) -> PricePanel:
-    """A long price CSV file as a PricePanel.  Each record goes into four typed
-    columns (timestamp, asset row, price, line), not into an object of its own.
-    One stable sort of the (asset, bar) cells finds the first duplicate: of the
-    second and later occurrences of a cell, the one on the earliest line."""
+    """A long price CSV file as a PricePanel.  Each line is split by
+    :func:`_fields`, and each record goes into four typed columns (timestamp,
+    asset row, price, line), not into an object of its own.  One stable sort
+    of the (asset, bar) cells finds the first duplicate: of the second and
+    later occurrences of a cell, the one on the earliest line."""
     stamps, rows, prices, lines = array("d"), array("q"), array("d"), array("q")
     asset_index = {}  # asset name -> row, in order of first appearance
+    header = False  # whether a line with a non-blank field, the header, was read
     stop = None  # the first bad line's error, raised after the records before it
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = _csv_records(fh, path)
-        next(reader)  # the header
         try:
-            for lineno, row in reader:
+            for lineno, line in enumerate(fh, start=1):
+                _check_utf8(line, lineno, path)
+                row = _fields(line.rstrip("\r\n"), lineno, path)
+                if not (row[0].strip() or any(f.strip() for f in row)):
+                    continue  # no field holds more than whitespace
+                if not header:
+                    header = True
+                    continue
                 if len(row) != 3:
                     raise ValueError(f"line {lineno}: expected timestamp,asset,price")
                 ts, asset = _timestamp(row[0], lineno), row[1].strip()
@@ -854,6 +810,8 @@ def _read_long_csv(path, bars_per_day) -> PricePanel:
                 lines.append(lineno)
         except ValueError as exc:
             stop = exc
+    if not header and stop is None:
+        raise ValueError(f"empty file: {path}")
 
     grid, bar = np.unique(np.frombuffer(stamps), return_inverse=True)
     asset_row = np.frombuffer(rows, dtype=np.int64)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import functools
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import _as_array, _each, _frozen, _integer, _real, _record
+from .panel import _as_array, _each, _frozen, _instance, _integer, _real, _record
 
 __all__ = [
     "MfdfaConfig",
@@ -346,6 +347,7 @@ def average_spectra(spectra) -> SingularitySpectrum:
     resampling f as a function of alpha), so each moment order contributes one
     averaged (alpha, f) point.
     """
+    _instance(spectra, Iterable, "spectra")
     spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum to average")

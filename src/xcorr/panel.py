@@ -202,6 +202,13 @@ def _standardized_rows(x, names, f=None, out=None):
     return out, flat
 
 
+def _instance(value, cls, name):
+    """A ValueError naming `name` unless `value` is a `cls`: None or the wrong
+    record would leak an AttributeError or a TypeError later."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be {cls.__name__}, got {type(value).__name__}")
+
+
 def _integer(value, name):
     """`value` as an int if it is a Python or numpy integer, else a ValueError
     naming `name`: a float would be truncated or leak a TypeError later."""
@@ -359,6 +366,7 @@ def log_returns(p: PricePanel) -> ReturnPanel:
     """Log price increments ln p(t_{j+1}) - ln p(t_j), one row per asset, taken
     one row block at a time straight into the result: the bits of
     ``np.diff(np.log(prices), axis=1)`` with no whole-panel temporary."""
+    _instance(p, PricePanel, "p")
     x = p.prices
     out = np.empty((x.shape[0], x.shape[1] - 1))
 
@@ -384,6 +392,7 @@ def standardize(r: ReturnPanel) -> ReturnPanel:
     ``standardized`` was checked to ``MEAN_TOL``/``VAR_TOL`` when it was built,
     so it is returned as it is.
     """
+    _instance(r, ReturnPanel, "r")
     return r if r.standardized else _standardized(r, r.returns)
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import ReturnPanel, _as_array, _each, _frozen, _integer, _real, _record, _standardized
+from .panel import (ReturnPanel, _as_array, _each, _frozen, _instance, _integer, _real, _record,
+                    _standardized)
 
 __all__ = [
     "CorrelationMatrix",
@@ -188,6 +189,7 @@ def _gram(m):
 
 def correlation_matrix(r: ReturnPanel) -> CorrelationMatrix:
     """Pearson correlation matrix C = (1/T) M M^T of a standardized panel."""
+    _instance(r, ReturnPanel, "r")
     if not r.standardized:
         raise ValueError("correlation_matrix requires a standardized panel; call standardize() first")
     c = _gram(r.returns)
@@ -202,6 +204,7 @@ def correlation_matrix(r: ReturnPanel) -> CorrelationMatrix:
 
 def eigendecompose(c: CorrelationMatrix) -> EigenSpectrum:
     """Full eigensystem of C, eigenvalues descending, signs fixed."""
+    _instance(c, CorrelationMatrix, "c")
     vals, vecs = np.linalg.eigh(c.values)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1].copy()

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .panel import ReturnPanel, _each_block, _frozen, _kept_rows, _record, _standardized_rows
+from .panel import (ReturnPanel, _each_block, _frozen, _instance, _kept_rows, _record,
+                    _standardized_rows)
 from .synth import _seed, _stream
 
 __all__ = [
@@ -141,11 +142,13 @@ def _replace_rows(r: ReturnPanel, f, what: str) -> ReturnPanel:
 
 def signs_only(r: ReturnPanel) -> ReturnPanel:
     """Replace each row by its standardized sign series (deterministic)."""
+    _instance(r, ReturnPanel, "r")
     return _replace_rows(r, np.sign, "sign")
 
 
 def magnitudes_only(r: ReturnPanel) -> ReturnPanel:
     """Replace each row by its standardized magnitude series (deterministic)."""
+    _instance(r, ReturnPanel, "r")
     return _replace_rows(r, np.abs, "magnitude")
 
 

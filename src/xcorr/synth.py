@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .panel import (ReturnPanel, _as_array, _each_block, _frozen, _integer, _real, _record,
-                    _standardized_rows)
+from .panel import (ReturnPanel, _as_array, _each_block, _frozen, _instance, _integer, _real,
+                    _record, _standardized_rows)
 
 __all__ = [
     "MarketModel",
@@ -167,6 +167,7 @@ def generate(m: MarketModel) -> ReturnPanel:
     profile; a log-volatility above ``_MAX_LOG_VOL`` is an error that names
     ``vol_clustering``, raised by the first such block before its exp.
     """
+    _instance(m, MarketModel, "m")
     t = m.t_length
     market = _stream(m.seed, _FACTOR_STREAM_BASE).standard_normal(t)
     sectors = [
@@ -247,6 +248,7 @@ def expected_lambda1(m: MarketModel) -> float:
     the market factor.  Only valid without sectors or volatility clustering
     (an intraday profile cancels in the correlation and is allowed).
     """
+    _instance(m, MarketModel, "m")
     if m.sector_spec or m.vol_clustering is not None:
         raise ValueError(
             "expected_lambda1 is only defined for a pure single-factor model"

@@ -317,3 +317,29 @@ def test_numbers_of_any_kind_still_read():
         -4.0, -2.0, 0.0, 2.0, 4.0]
     frozen = panel._frozen(np.array([-4.0, -2.0, 0.0, 2.0, 4.0]))
     assert panel._as_array(frozen, "q_grid") is frozen
+
+
+# Each function that takes a record, the name of that parameter, the type it
+# wants, and a record of another type.
+TAKES_A_RECORD = {
+    "log_returns": (panel.log_returns, "p", "PricePanel", preset("one_factor")),
+    "standardize": (panel.standardize, "r", "ReturnPanel", preset("one_factor")),
+    "correlation_matrix": (spectrum.correlation_matrix, "r", "ReturnPanel",
+                           preset("one_factor")),
+    "eigendecompose": (spectrum.eigendecompose, "c", "CorrelationMatrix", preset("one_factor")),
+    "signs_only": (surrogate.signs_only, "r", "ReturnPanel", preset("one_factor")),
+    "magnitudes_only": (surrogate.magnitudes_only, "r", "ReturnPanel", preset("one_factor")),
+    "generate": (synth.generate, "m", "MarketModel", SurrogateSpec("shuffle_signs", 7)),
+    "expected_lambda1": (synth.expected_lambda1, "m", "MarketModel",
+                         SurrogateSpec("shuffle_signs", 7)),
+    "average_spectra": (mfdfa.average_spectra, "spectra", "Iterable", preset("one_factor")),
+}
+
+
+@pytest.mark.parametrize("wrong", ["None", "record"])
+@pytest.mark.parametrize("name", sorted(TAKES_A_RECORD))
+def test_a_wrong_record_is_a_value_error_naming_the_parameter(name, wrong):
+    fn, param, want, record = TAKES_A_RECORD[name]
+    value = None if wrong == "None" else record
+    with pytest.raises(ValueError, match=f"^{param} must be {want}, got {type(value).__name__}$"):
+        fn(value)

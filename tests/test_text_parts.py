@@ -9,8 +9,9 @@ bounded in units of that panel.
 import contextlib
 import csv
 import errno
-import math
 import io
+import json
+import math
 import os
 import signal
 import threading
@@ -958,13 +959,13 @@ WIDE_EDITS = {
 
 @needs_fork
 class TestWidePathsAgree:
-    """A wide file holding no '"' is split without the csv module; with one cell
-    quoted, the same file goes through csv.reader.  Both give the same panel,
-    warnings and errors."""
+    """A wide line holding no '"' is only partitioned at its commas; with one
+    cell quoted, the same file's line 10 is split by ``cli._fields``.  Both
+    files give the same panel, warnings and errors."""
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("edit", sorted(WIDE_EDITS))
-    def test_same_panel_warnings_and_errors(self, tmp_path, helpers, monkeypatch, eol, edit):
+    def test_same_panel_warnings_and_errors(self, tmp_path, helpers, eol, edit):
         plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
         _awkward_wide(plain, eol)
         if WIDE_EDITS[edit]:
@@ -978,9 +979,7 @@ class TestWidePathsAgree:
         key = TestLineEndingsAndPipes._wide
         for count in HELPERS:
             helpers(count)
-            with monkeypatch.context() as m:
-                m.setattr(cli, "_csv_records", _raise)  # the quote-free file never needs it
-                fast = key(_outcome(read, str(plain)))
+            fast = key(_outcome(read, str(plain)))
             slow = key(_outcome(read, str(quoted)))
             if slow[0] == "error":
                 slow = ("error", slow[1].replace(str(quoted), str(plain)))
@@ -992,23 +991,115 @@ class TestWidePathsAgree:
         else:
             assert fast[0] == "error"
 
-    @settings(deadline=None, max_examples=300, derandomize=True)
-    @given(st.text(st.characters(exclude_characters='"\r\n'), max_size=30)
-           | st.lists(st.sampled_from(["", " ", "1", "x", "\t", "\x0c", "　", "nan"]),
+    @settings(deadline=None, max_examples=600, derandomize=True)
+    @given(st.text(st.characters(exclude_characters="\r\n\x00"), max_size=30)
+           | st.text(st.sampled_from('",a '), max_size=12)
+           | st.lists(st.sampled_from(["", " ", "1", "x", "\t", "\x0c", "　", "nan", '"',
+                                       '""', '"1,5"', '"a""b"', '"x"y', ' "1"', '"""']),
                       max_size=5).map(",".join))
     def test_record_split_is_the_csv_readers(self, line):
-        row = next(csv.reader([line + "\n"]))
-        count, first, rest = cli._wide_record(line)
-        if not any(f.strip() for f in row):
-            assert count == 0
+        # csv.reader, the reference, reads on into the next line when a quoted
+        # field does not close on its own.
+        reader = csv.reader([line + "\n", "next\n"])
+        row = next(reader)
+        if reader.line_num > 1:
+            with pytest.raises(ValueError, match=f"^f.csv: line 7: {RUNS_PAST}$"):
+                cli._fields(line, 7, "f.csv")
+            return
+        row = row or [""]  # csv.reader's record of an empty line is []
+        assert cli._fields(line, 7, "f.csv") == row
+        count, first, rest = cli._wide_record(line, 7, "f.csv")
+        assert (first, rest) == (row[0], ",".join(row[1:]))
+        assert count == (len(row) if any(f.strip() for f in row) else 0)
+
+
+RUNS_PAST = "malformed CSV record: a quoted field runs past the end of its line"
+
+
+def _write_long(path, quoted):
+    """A long price file of 3 assets over 400 bars, one name holding a '"';
+    `quoted`: every field of every line quoted, a quote inside one doubled."""
+    rng = np.random.default_rng(18)
+    prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal((3, 400)), axis=1))
+    names = ['A"1', "B", " C d "]
+    lines = [("timestamp", "asset", "price")]
+    lines += [(repr(j * 60.0), name, repr(float(prices[i, j])))
+              for j in range(400) for i, name in enumerate(names) if (i, j % 50) != (0, 7)]
+    if quoted:
+        lines = [['"' + f.replace('"', '""') + '"' for f in line] for line in lines]
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
+
+
+class TestLongQuoted:
+    """A long file with every field quoted reads as the same file unquoted."""
+
+    @pytest.mark.parametrize("edit", [None, "bad_price", "huge_field"])
+    def test_same_panel_as_unquoted(self, tmp_path, edit):
+        outcomes = []
+        for quoted in (False, True):
+            path = tmp_path / "long.csv"
+            _write_long(path, quoted)
+            if edit:
+                lines = path.read_text().split("\n")
+                price = "abc" if edit == "bad_price" else "9" * (2 ** 17 + 1)
+                lines[300] = lines[300].rsplit(",", 1)[0] + f",{price}"
+                path.write_text("\n".join(lines))
+            read = lambda p: ingest(p, "long", bars_per_day=10)  # noqa: E731
+            outcomes.append(TestLineEndingsAndPipes._wide(_outcome(read, str(path))))
+        assert outcomes[1] == outcomes[0]
+        if edit is None:
+            assert outcomes[0][0] == "ok" and outcomes[0][1] == ['A"1', "B", "C d"]
+            assert outcomes[0][-1] == ['asset A"1: forward-filled 8 missing bar(s)']
+        elif edit == "bad_price":
+            assert outcomes[0] == ("error", "line 301: unparseable price 'abc' for B")
         else:
-            assert count == len(row)
-            assert ([first, *rest.split(",")] if "," in line else [first]) == row
+            assert outcomes[0] == ("error", f"{path}: line 301: malformed CSV record: "
+                                            "field larger than field limit (131072)")
+
+
+@needs_fork
+class TestQuotedFieldOnOneLine:
+    """A quoted field that opens on line k and closes on a later line is an
+    error naming line k, and a run on the file leaves no --out."""
+
+    def _run(self, tmp_path, capsys, path, fmt):
+        out = tmp_path / "out"
+        assert cli.main(["spectrum", "--input", str(path), "--format", fmt,
+                         "--bars-per-day", "7", "--out", str(out)]) == 1
+        assert not out.exists()
+        return json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_wide_line_in_the_second_part(self, tmp_path, helpers, capsys, count):
+        path = tmp_path / "wide.csv"
+        _write_wide(path, 3, 5000)
+        lines = _bytes(path).split(b"\n")
+        # Of 5002 lines of about one length, line 4000 lies in the second part.
+        lines[3999] = lines[3999].replace(b",", b',"', 1)  # line 4000 opens a quote
+        lines[4001] = lines[4001] + b'"'  # that line 4002 closes
+        path.write_bytes(b"\n".join(lines))
+        helpers(count)
+        assert self._run(tmp_path, capsys, path, "wide") == f"{path}: line 4000: {RUNS_PAST}"
+
+    def test_long(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        _write_long(path, quoted=False)
+        lines = path.read_text().split("\n")
+        lines[500] = lines[500].replace(",", ',"', 1)
+        lines[501] += '"'
+        path.write_text("\n".join(lines))
+        assert self._run(tmp_path, capsys, path, "long") == f"{path}: line 501: {RUNS_PAST}"
+
+    def test_price_cell_holding_a_line_end(self, tmp_path, capsys):
+        # The csv module read this cell as "200\n", so as 200.
+        path = tmp_path / "wide.csv"
+        path.write_text('t,A\n0,"200\n"\n60,201\n120,202\n')
+        assert self._run(tmp_path, capsys, path, "wide") == f"{path}: line 2: {RUNS_PAST}"
 
 
 # A price file with no record that holds more than whitespace, and how each
 # reader gets it: (format, text added to the file, read from a FIFO).  The
-# '""' record (one quoted blank field) sends a wide file to the csv reader.
+# '""' record is one quoted blank field.
 EMPTY_FILES = {"0-byte": b"", "blank lines": b"\n  \n\r\n\t\n"}
 EMPTY_READS = {
     "wide": ("wide", b"", False),
@@ -1040,6 +1131,8 @@ class TestNoPrices:
     @pytest.mark.parametrize("fmt, text, message", [
         ("long", "t,asset,price\n", "no data rows in {}"),
         ("wide", "t,A\n0,100\n60,\n120,\n", "all assets dropped during missing-bar handling"),
+        ("wide", "t\n0\n60\n", "line 1: wide CSV needs a time column plus at least one asset"),
+        ("wide", '"t"\n0\n60\n', "line 1: wide CSV needs a time column plus at least one asset"),
     ])
     def test_no_prices_left(self, tmp_path, fmt, text, message):
         path = tmp_path / "prices.csv"
@@ -1051,8 +1144,8 @@ class TestNoPrices:
 @pytest.fixture(scope="module")
 def peak_files(tmp_path_factory):
     """The bytes of the 100 x 8192 panel, and a folder holding its panel CSV,
-    its wide price CSV, and a wide CSV of the same shape with asset S1 dropped
-    (``_write_wide``)."""
+    its wide price CSV, that wide CSV with its first header field quoted, and a
+    wide CSV of the same shape with asset S1 dropped (``_write_wide``)."""
     root = tmp_path_factory.mktemp("peaks")
     r = _returns(100, 8192, seed=16)
     export_panel(r, root / "panel.csv")
@@ -1068,6 +1161,7 @@ def peak_files(tmp_path_factory):
         for j in range(8192):
             fh.write(f"{j * 60.0!r}," + ",".join(
                 "" if row[j] is None else repr(100.0 + row[j]) for row in cells) + "\n")
+    (root / "wide-quoted.csv").write_bytes(b'"timestamp"' + _bytes(root / "wide.csv")[9:])
     _write_wide(root / "wide-dropped.csv", 100, 8191)
     return r.returns.nbytes, root
 
@@ -1088,6 +1182,15 @@ class TestReadPeaks:
         unit, root = peak_files
         helpers(count)
         assert peak(lambda: ingest(str(root / "wide.csv"), "wide", bars_per_day=7), unit) <= 2.5
+
+    @pytest.mark.parametrize("count", (0, 1))
+    def test_wide_csv_quoted(self, peak_files, helpers, peak, count):
+        # A '"' costs a split of its line, not another reader: the file takes
+        # the byte-range parts of the plain one, and the same bound.
+        unit, root = peak_files
+        helpers(count)
+        read = lambda: ingest(str(root / "wide-quoted.csv"), "wide", bars_per_day=7)  # noqa: E731
+        assert peak(read, unit) <= 2.5
 
     @pytest.mark.parametrize("count", (0, 1))
     def test_wide_csv_with_a_dropped_asset(self, peak_files, helpers, peak, count):

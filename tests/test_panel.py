@@ -281,7 +281,7 @@ def test_numeric_argument_of_the_wrong_type_is_a_named_error(panel_4x64, call, m
     (lambda r, s: xcorr.spectrum.EigenSpectrum(s.eigenvalues, s.eigenvectors, source_q="q"),
      "source_q must be a real number, got 'q'"),
     (lambda r, s: xcorr.surrogate.apply_surrogate(r, "rotate_free"),
-     "spec must be a SurrogateSpec, got 'rotate_free'"),
+     "spec must be SurrogateSpec, got str"),
     (lambda r, s: xcorr.mfdfa.average_spectra([1, 2]),
      "spectra must be SingularitySpectrum records, got [1, 2]"),
 ], ids=["preset-field", "burst-n_burst", "burst-bars_per_day", "burst-level", "burst-inf",

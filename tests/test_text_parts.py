@@ -14,12 +14,13 @@ import json
 import math
 import os
 import signal
+import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import xcorr.cli as cli
@@ -992,14 +993,16 @@ class TestWidePathsAgree:
             assert fast[0] == "error"
 
     @settings(deadline=None, max_examples=600, derandomize=True)
-    @given(st.text(st.characters(exclude_characters="\r\n\x00"), max_size=30)
-           | st.text(st.sampled_from('",a '), max_size=12)
+    @given(st.text(st.characters(exclude_characters="\r\n"), max_size=30)
+           | st.text(st.sampled_from('",a \x00'), max_size=12)
            | st.lists(st.sampled_from(["", " ", "1", "x", "\t", "\x0c", "　", "nan", '"',
-                                       '""', '"1,5"', '"a""b"', '"x"y', ' "1"', '"""']),
+                                       '""', '"1"', '"1,5"', '"a""b"', '"x"y', ' "1"', '"""']),
                       max_size=5).map(",".join))
     def test_record_split_is_the_csv_readers(self, line):
         # csv.reader, the reference, reads on into the next line when a quoted
-        # field does not close on its own.
+        # field does not close on its own.  Before Python 3.11 it refuses a
+        # line holding NUL, so there such a line is not compared.
+        assume("\x00" not in line or sys.version_info >= (3, 11))
         reader = csv.reader([line + "\n", "next\n"])
         row = next(reader)
         if reader.line_num > 1:
